@@ -1,13 +1,11 @@
-//! Wire protocol v2: length-prefixed binary framing for the hot path.
+//! Wire protocol v2: length-prefixed binary framing, the one encoding
+//! every message the middleware puts on a real socket uses — game
+//! clients, replica streams, load reports and the stats endpoint.
 //!
-//! Every frame the JSON-lines codec ([`crate::codec`]) speaks — plus the
-//! version-negotiation `Hello` and the load-report heartbeat — has a
-//! compact binary form here. The two codecs serialize the *same* Rust
-//! values; JSON stays the debug/interop format (protocol v1), binary is
-//! the canonical one (v2). A peer advertises v2 by opening with a
-//! binary [`Frame::Hello`]; a byte stream is self-identifying, because
-//! no JSON line can start with the magic byte `0xD7` and no binary
-//! frame starts with `{`.
+//! A game client opens with a [`Frame::Hello`] and waits for the
+//! gateway's `Hello` before sending anything else (see `docs/WIRE.md`).
+//! The runtime's gateway and stats endpoint close any connection whose
+//! first byte is not [`MAGIC`]`[0]`.
 //!
 //! # Frame layout
 //!
@@ -55,7 +53,7 @@
 //! = 12, a velocity pair [`UpdateItem::VELOCITY_WIRE_BYTES`] = 6 (the
 //! wire-bytes audit in `tests/codec_v2_properties.rs` pins this).
 //! Payload *content* is never materialized: the length is a declared
-//! number in both codecs — the simulation ships sizes, not state.
+//! number — the simulation ships sizes, not state.
 //!
 //! # Robustness
 //!
@@ -67,7 +65,6 @@
 //! magic boundary. The fuzz suite (`tests/codec_v2_fuzz.rs`) drives
 //! random bytes, truncations and bit flips through every decoder.
 
-use crate::codec::{CodecError, StatsFormat, STATS_VERSION};
 use crate::messages::{
     BatchItem, ClientToGame, DeltaItem, GameToClient, LoadReport, RegionSnapshot, ReplicaBatch,
     ReplicaOp, UpdateItem,
@@ -79,6 +76,45 @@ use matrix_replication::{
 };
 use matrix_sim::SimTime;
 use matrix_telemetry::{HistSnapshot, TelemetrySnapshot};
+
+/// A malformed frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CodecError {
+    /// What went wrong, for diagnostics.
+    pub reason: String,
+}
+
+impl CodecError {
+    pub(crate) fn new(reason: impl Into<String>) -> CodecError {
+        CodecError {
+            reason: reason.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "bad frame: {}", self.reason)
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+/// Format version of the stats query/reply frames. Versioned separately
+/// from the replication frames: the stats endpoint and the replication
+/// link evolve independently.
+pub const STATS_VERSION: u32 = 1;
+
+/// The exposition format a stats query asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatsFormat {
+    /// Structured reply: one [`Frame::StatsReply`] (format byte 0).
+    Binary,
+    /// Prometheus-style text exposition
+    /// ([`matrix_telemetry::render_prometheus`]), read to EOF (format
+    /// byte 1).
+    Prom,
+}
 
 /// The two bytes every binary frame opens with.
 pub const MAGIC: [u8; 2] = [0xD7, 0x4D];
@@ -221,10 +257,9 @@ pub struct FrameMeta {
 /// wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Version negotiation: the sender speaks binary protocol
-    /// `version`. A v2 peer replies with its own `Hello`; a legacy
-    /// JSON peer fails to parse the frame and drops the connection,
-    /// which the sender treats as "fall back to v1".
+    /// Session handshake: the sender speaks binary protocol `version`.
+    /// A game client opens with it and the gateway answers with its own
+    /// `Hello` before the client joins.
     Hello {
         /// Highest protocol version the sender speaks.
         version: u8,
@@ -545,7 +580,7 @@ fn encode_body(frame: &Frame, out: &mut Vec<u8>) -> u8 {
         Frame::StatsQuery(fmt) => {
             put_varint(out, STATS_VERSION as u64);
             out.push(match fmt {
-                StatsFormat::Json => 0,
+                StatsFormat::Binary => 0,
                 StatsFormat::Prom => 1,
             });
             T_STATS_QUERY
@@ -1066,7 +1101,7 @@ fn decode_body(ty: u8, traced: bool, body: &[u8]) -> Result<Frame, CodecError> {
         T_STATS_QUERY => {
             check_stats_version(&mut r)?;
             Frame::StatsQuery(match r.u8("stats format")? {
-                0 => StatsFormat::Json,
+                0 => StatsFormat::Binary,
                 1 => StatsFormat::Prom,
                 f => return Err(CodecError::new(format!("unknown stats format {f}"))),
             })
@@ -1740,6 +1775,64 @@ mod tests {
                 "unexpected error for {frame:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn unsupported_snapshot_versions_are_rejected() {
+        // The replica body opens with the snapshot format version
+        // (one varint byte). No CRC, so the version is the only defect.
+        let batch = ReplicaBatch {
+            seq: 4,
+            payload: ReplicaPayload::Full(RegionSnapshot::default()),
+        };
+        let mut bytes = encode_replica_batch_frame(&batch, FrameMeta::default(), false);
+        assert_eq!(bytes[HEADER_BYTES] as u32, RegionSnapshot::VERSION);
+        bytes[HEADER_BYTES] = RegionSnapshot::VERSION as u8 + 1;
+        let err = decode_frame(&bytes).unwrap_err();
+        assert!(err.reason.contains("version"), "{err}");
+    }
+
+    #[test]
+    fn stats_query_round_trips_and_rejects_bad_versions() {
+        for fmt in [StatsFormat::Binary, StatsFormat::Prom] {
+            round_trip(Frame::StatsQuery(fmt));
+        }
+        let query = encode_frame(
+            &Frame::StatsQuery(StatsFormat::Prom),
+            FrameMeta::default(),
+            false,
+        );
+        assert_eq!(query[HEADER_BYTES] as u32, STATS_VERSION);
+        let mut bad = query.clone();
+        bad[HEADER_BYTES] = 7;
+        let err = decode_frame(&bad).unwrap_err();
+        assert!(err.reason.contains("version"), "{err}");
+        let mut unknown_format = query;
+        unknown_format[HEADER_BYTES + 1] = 2;
+        assert!(decode_frame(&unknown_format).is_err());
+        // The reply carries the same version.
+        let mut reply = encode_frame(&Frame::StatsReply(vec![]), FrameMeta::default(), false);
+        reply[HEADER_BYTES] = 2;
+        let err = decode_frame(&reply).unwrap_err();
+        assert!(err.reason.contains("version"), "{err}");
+    }
+
+    #[test]
+    fn prom_stats_query_bytes_match_the_operator_docs() {
+        // `docs/OBSERVABILITY.md` gives these bytes for a `printf | nc`
+        // scrape; they must stay what the encoder produces.
+        let bytes = encode_frame(
+            &Frame::StatsQuery(StatsFormat::Prom),
+            FrameMeta::default(),
+            true,
+        );
+        assert_eq!(
+            bytes,
+            [
+                0xD7, 0x4D, 0x02, 0x8C, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0xA4, 0xB0, 0x4A, 0x66,
+            ]
+        );
     }
 
     #[test]

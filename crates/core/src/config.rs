@@ -4,23 +4,18 @@ use matrix_geometry::{Metric, SplitStrategy};
 use matrix_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// Which wire codec frames client-visible traffic.
+/// The wire codec a TCP game client speaks.
 ///
-/// Both codecs serialize the same messages; they differ in format and
-/// cost. The runtime negotiates per connection (a binary `Hello` opens
-/// v2; a JSON opener falls back to v1), so the knob chooses what a
-/// node *speaks by preference* and which codec the simulation's byte
-/// accounting measures frame sizes from.
+/// Wire protocol v2 (`matrix_core::codec_v2`) is the only encoding, so
+/// this has one variant. It remains because
+/// `matrix_rt::wire::TcpGameClient::connect_with` and
+/// `matrix_experiments::predict::server_config` take it, and external
+/// callers (the benchmark harness) name those signatures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum WireCodec {
-    /// Wire protocol v2: length-prefixed binary frames
-    /// (`matrix_core::codec_v2`). The canonical codec.
+    /// Wire protocol v2: length-prefixed binary frames.
     #[default]
     BinaryV2,
-    /// Wire protocol v1: newline-delimited JSON (`matrix_core::codec`).
-    /// The debug/interop codec — any language can speak it with no
-    /// binary tooling.
-    Json,
 }
 
 /// Configuration of a Matrix server's adaptive behaviour.
@@ -178,10 +173,9 @@ pub struct GameServerConfig {
     /// in world units per second (`0.0` = the origin lattice).
     /// Velocities tolerate a far coarser lattice than origins — the
     /// quantization drift over a basis lifetime stays well inside any
-    /// usable ring budget — and every halving of the resolution
-    /// shortens the tag on the JSON codec. Keep it a power-of-two
-    /// multiple of `origin_quantum` so the binary codec's fixed-point
-    /// velocity field carries the snapped value exactly.
+    /// usable ring budget. Keep it a power-of-two multiple of
+    /// `origin_quantum` so the codec's fixed-point velocity field
+    /// carries the snapped value exactly.
     pub velocity_quantum: f64,
     /// Ring index from which batch items ship position-only (payload
     /// stripped, origin and velocity kept); `0` disables payload
@@ -203,8 +197,8 @@ pub struct GameServerConfig {
     pub client_budget_bytes: u32,
     /// Delta-compression keyframe interval: force an absolute-origin
     /// keyframe item at least every this many flushes per client.
-    /// `0` disables delta encoding (every item absolute — the v1 wire
-    /// format); `1` keyframes every flush but still delta-encodes items
+    /// `0` disables delta encoding (every item absolute — the pre-delta
+    /// wire shape); `1` keyframes every flush but still delta-encodes items
     /// within a batch.
     pub keyframe_every: u32,
     /// Fixed-point resolution batch origins are snapped to before
@@ -242,14 +236,9 @@ pub struct GameServerConfig {
     /// with `telemetry` on. The coordinator's own recorder is always on
     /// and sized independently.
     pub telemetry_events: u32,
-    /// Which wire codec frames the client-facing protocol — and, in the
-    /// simulation, which codec the byte accounting measures frame sizes
-    /// from (`docs/WIRE.md`).
-    pub codec: WireCodec,
     /// Whether binary frames carry the CRC32 trailer (4 bytes per
     /// frame). On by default: corrupted frames are then rejected and
-    /// the stream resynchronizes at the next magic boundary. Ignored by
-    /// the JSON codec.
+    /// the stream resynchronizes at the next magic boundary.
     pub frame_crc: bool,
     /// Number of shards the dissemination flush is partitioned into
     /// (clamped to ≥ 1). Per-client send-path state (delta streams,
@@ -309,7 +298,6 @@ impl Default for GameServerConfig {
             replica_lag_cap: 256,
             telemetry: false,
             telemetry_events: 256,
-            codec: WireCodec::BinaryV2,
             frame_crc: true,
             flush_workers: 1,
             trace_sample_rate: 0,

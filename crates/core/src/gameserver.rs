@@ -9,9 +9,8 @@
 //! mirroring how Matrix "supports the distributed operation of various
 //! MMOGs without actually needing to understand the game logic".
 
-use crate::codec;
 use crate::codec_v2;
-use crate::config::{GameServerConfig, WireCodec};
+use crate::config::GameServerConfig;
 use crate::messages::{
     BatchItem, ClientToGame, DeltaItem, GameToClient, GameToMatrix, LoadReport, MatrixToGame,
     RegionSnapshot, ReplicaOp, UpdateItem,
@@ -86,7 +85,7 @@ pub struct GameStats {
     /// Delta-encoded items flushed to clients.
     pub delta_items: u64,
     /// Bytes saved by delta-encoding item origins, relative to sending
-    /// every item with absolute coordinates (the v1 wire format).
+    /// every item with absolute coordinates (the pre-delta wire shape).
     pub delta_bytes_saved: u64,
     /// Replication batches shipped to the warm standby.
     pub replica_batches_out: u64,
@@ -796,25 +795,12 @@ impl GameServerNode {
                 }
                 items.push(item);
             }
-            // Bytes-on-wire accounting is *measured* against the active
-            // codec, not modelled: the binary frame length comes from
-            // the codec's arithmetic mirror of its encoder (pinned
-            // equal by the property suite), the JSON length from
-            // actually encoding the line. Declared payload sizes ride
-            // on top in both — the sim ships sizes, not state.
+            // Bytes-on-wire accounting is *measured*, not modelled: the
+            // frame length comes from the codec's arithmetic mirror of
+            // its encoder (pinned equal by the property suite). Declared
+            // payload sizes ride on top — the sim ships sizes, not state.
             let payload: usize = items.iter().map(|i| i.payload_bytes()).sum();
-            let frame = match self.cfg.codec {
-                WireCodec::BinaryV2 => codec_v2::update_batch_frame_len(&items, self.cfg.frame_crc),
-                WireCodec::Json => {
-                    let msg = GameToClient::UpdateBatch { updates: items };
-                    let len = codec::encode_game_to_client(&msg).len() + 1;
-                    let GameToClient::UpdateBatch { updates } = msg else {
-                        unreachable!("constructed an UpdateBatch above");
-                    };
-                    items = updates;
-                    len
-                }
-            };
+            let frame = codec_v2::update_batch_frame_len(&items, self.cfg.frame_crc);
             delta.batch_bytes += (frame + payload) as u64;
             out.push(GameAction::ToClient(
                 batch.receiver,

@@ -80,7 +80,6 @@
 
 pub mod analysis;
 pub mod baseline;
-pub mod codec;
 pub mod codec_v2;
 mod config;
 mod coordinator;

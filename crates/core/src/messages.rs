@@ -887,17 +887,22 @@ mod tests {
 
     #[test]
     fn client_protocol_round_trips_through_codec() {
-        // The client-facing half of the protocol crosses real sockets via
-        // the hand-written JSON codec; every variant must round-trip.
-        use crate::codec;
-        let up = ClientToGame::Join {
+        // The client-facing half of the protocol crosses real sockets as
+        // v2 frames; both directions must round-trip.
+        use crate::codec_v2::{decode_frame, encode_frame, Frame, FrameMeta, FrameStatus};
+        let round_trip = |frame: Frame| {
+            let bytes = encode_frame(&frame, FrameMeta::default(), true);
+            let Ok(FrameStatus::Complete { frame: back, .. }) = decode_frame(&bytes) else {
+                panic!("{frame:?} did not decode");
+            };
+            assert_eq!(back, frame);
+        };
+        round_trip(Frame::Client(ClientToGame::Join {
             pos: Point::new(1.5, -2.25),
             state_bytes: 64,
-        };
-        let line = codec::encode_client_to_game(&up);
-        assert_eq!(codec::decode_client_to_game(&line).unwrap(), up);
+        }));
 
-        let down = GameToClient::UpdateBatch {
+        round_trip(Frame::Server(GameToClient::UpdateBatch {
             updates: vec![
                 BatchItem::Absolute(UpdateItem {
                     origin: Point::new(0.1, 0.2),
@@ -919,9 +924,7 @@ mod tests {
                     trace: None,
                 }),
             ],
-        };
-        let line = codec::encode_game_to_client(&down);
-        assert_eq!(codec::decode_game_to_client(&line).unwrap(), down);
+        }));
     }
 
     #[test]

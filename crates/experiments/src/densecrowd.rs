@@ -23,7 +23,6 @@
 //! working end to end under the full protocol.
 
 use crate::harness::{Cluster, ClusterConfig, ClusterReport};
-use matrix_core::WireCodec;
 use matrix_games::{GameSpec, Placement, PopulationEvent, WorkloadSchedule};
 use matrix_metrics::Table;
 use matrix_sim::SimTime;
@@ -71,7 +70,7 @@ impl Scale {
 ///
 /// Adaptation is disabled (one static server) so the crowd cannot be
 /// split away — the interest layer has to absorb the full fan-out.
-pub fn config(spec: GameSpec, seed: u64, codec: WireCodec) -> ClusterConfig {
+pub fn config(spec: GameSpec, seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::static_partition(spec, 1);
     cfg.seed = seed;
     // The point of the experiment is delivered batches, not queue drops:
@@ -80,9 +79,6 @@ pub fn config(spec: GameSpec, seed: u64, codec: WireCodec) -> ClusterConfig {
     // to end.
     cfg.queue_capacity = None;
     cfg.game.emit_updates = true;
-    // The bytes columns are measured on whichever wire codec is active
-    // (v2 binary frames by default; `--codec json` re-measures on v1).
-    cfg.game.codec = codec;
     cfg
 }
 
@@ -94,7 +90,6 @@ pub fn run_one(
     budget_bytes: u32,
     horizon_secs: u64,
     seed: u64,
-    codec: WireCodec,
 ) -> DenseCrowdRow {
     let mut spec = spec.clone();
     // Keep event volume tractable while still dense: moderate update rate.
@@ -113,7 +108,7 @@ pub fn run_one(
             },
         },
     );
-    let report = Cluster::new(config(spec, seed, codec), schedule).run();
+    let report = Cluster::new(config(spec, seed), schedule).run();
     DenseCrowdRow {
         clients,
         budget_bytes,
@@ -127,15 +122,15 @@ pub fn run_one(
 /// shards the lone server's flush; by the shard-count invariance
 /// property the table must come out identical for any value — which is
 /// exactly what the CI smoke run at 4 workers pins.
-pub fn run(seed: u64, codec: WireCodec, scale: Scale, flush_workers: u32) -> Vec<DenseCrowdRow> {
+pub fn run(seed: u64, scale: Scale, flush_workers: u32) -> Vec<DenseCrowdRow> {
     let spec = GameSpec::bzflag().with_flush_workers(flush_workers);
     let max = scale.max_crowd;
     let mut rows: Vec<DenseCrowdRow> = [max / 4, max / 2, max]
         .into_iter()
-        .map(|n| run_one(&spec, n, 0, scale.horizon_secs, seed, codec))
+        .map(|n| run_one(&spec, n, 0, scale.horizon_secs, seed))
         .collect();
     // The same largest crowd on a 2 KiB-per-flush client downlink.
-    rows.push(run_one(&spec, max, 2048, scale.horizon_secs, seed, codec));
+    rows.push(run_one(&spec, max, 2048, scale.horizon_secs, seed));
     rows
 }
 
@@ -239,7 +234,7 @@ mod tests {
     #[test]
     fn dense_crowd_delivers_batched_updates_end_to_end() {
         let spec = GameSpec::bzflag();
-        let row = run_one(&spec, 300, 0, 20, 7, WireCodec::BinaryV2);
+        let row = run_one(&spec, 300, 0, 20, 7);
         let r = &row.report;
         assert!(r.update_batches_delivered > 0, "batches must reach clients");
         assert!(r.batched_updates_delivered >= r.update_batches_delivered);
@@ -257,12 +252,8 @@ mod tests {
     #[test]
     fn bigger_crowds_fan_out_more() {
         let spec = GameSpec::bzflag();
-        let small = run_one(&spec, 100, 0, 20, 11, WireCodec::BinaryV2)
-            .report
-            .updates_fanned;
-        let large = run_one(&spec, 400, 0, 20, 11, WireCodec::BinaryV2)
-            .report
-            .updates_fanned;
+        let small = run_one(&spec, 100, 0, 20, 11).report.updates_fanned;
+        let large = run_one(&spec, 400, 0, 20, 11).report.updates_fanned;
         assert!(
             large > 4 * small,
             "fan-out grows superlinearly with crowd density: {small} -> {large}"
@@ -272,8 +263,8 @@ mod tests {
     #[test]
     fn tight_downlink_budget_rate_limits_instead_of_queueing() {
         let spec = GameSpec::bzflag();
-        let free = run_one(&spec, 300, 0, 20, 13, WireCodec::BinaryV2).report;
-        let tight = run_one(&spec, 300, 512, 20, 13, WireCodec::BinaryV2).report;
+        let free = run_one(&spec, 300, 0, 20, 13).report;
+        let tight = run_one(&spec, 300, 512, 20, 13).report;
         assert!(
             tight.updates_rate_limited > free.updates_rate_limited,
             "a 512-byte downlink must defer updates: {} vs {}",

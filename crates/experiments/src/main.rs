@@ -12,7 +12,7 @@ use std::io::Write;
 const HELP: &str = "\
 matrix-experiments — regenerate the Matrix paper's evaluation
 
-USAGE: matrix-experiments [--seed N] [--smoke] [--codec binary|json] [--flush-workers N] <command>
+USAGE: matrix-experiments [--seed N] [--smoke] [--flush-workers N] <command>
 
 COMMANDS:
   fig2                 E1/E2: Figure 2a (clients/server) + 2b (queue length)
@@ -34,10 +34,6 @@ COMMANDS:
   ablation-hysteresis  A2: oscillation-prevention ablation
   all                  run everything in order
 
-`--codec` picks the wire codec the byte columns of E12/E14/E15 are
-measured on (v2 binary frames by default; `json` re-measures on the v1
-JSON codec). The verdicts must hold on either.
-
 `--flush-workers N` shards the dissemination flush across N workers
 (E12's knob; default 1 = the sequential path). Sharding is
 byte-invariant on the wire, so every verdict must hold unchanged at
@@ -48,7 +44,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed = 42u64;
     let mut smoke = false;
-    let mut codec = matrix_core::WireCodec::BinaryV2;
     let mut flush_workers = 1u32;
     let mut command = None;
     let mut it = args.iter();
@@ -66,13 +61,6 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--flush-workers needs an integer"));
-            }
-            "--codec" => {
-                codec = match it.next().map(|s| s.as_str()) {
-                    Some("binary") => matrix_core::WireCodec::BinaryV2,
-                    Some("json") => matrix_core::WireCodec::Json,
-                    _ => die("--codec needs 'binary' or 'json'"),
-                };
             }
             "--help" | "-h" => {
                 println!("{HELP}");
@@ -96,10 +84,10 @@ fn main() {
         "userstudy" => run_userstudy(seed),
         "scale" => run_scale(),
         "sweep" => run_sweep(seed),
-        "dense" => run_dense(seed, smoke, codec, flush_workers),
+        "dense" => run_dense(seed, smoke, flush_workers),
         "failover" => run_failover(seed, smoke),
-        "rings" => run_rings(seed, smoke, codec),
-        "predict" => run_predict(seed, smoke, codec),
+        "rings" => run_rings(seed, smoke),
+        "predict" => run_predict(seed, smoke),
         "trace" => run_trace(seed, smoke),
         "ablation-split" => run_ablation_split(seed),
         "ablation-hysteresis" => run_ablation_hysteresis(seed),
@@ -112,10 +100,10 @@ fn main() {
             run_userstudy(seed);
             run_scale();
             run_sweep(seed);
-            run_dense(seed, false, codec, flush_workers);
+            run_dense(seed, false, flush_workers);
             run_failover(seed, false);
-            run_rings(seed, false, codec);
-            run_predict(seed, false, codec);
+            run_rings(seed, false);
+            run_predict(seed, false);
             run_trace(seed, false);
             run_ablation_split(seed);
             run_ablation_hysteresis(seed);
@@ -210,13 +198,13 @@ fn run_sweep(seed: u64) {
     save("sweep.csv", &table.to_csv());
 }
 
-fn run_dense(seed: u64, smoke: bool, codec: matrix_core::WireCodec, flush_workers: u32) {
+fn run_dense(seed: u64, smoke: bool, flush_workers: u32) {
     let scale = if smoke {
         densecrowd::Scale::smoke()
     } else {
         densecrowd::Scale::full()
     };
-    let rows = densecrowd::run(seed, codec, scale, flush_workers);
+    let rows = densecrowd::run(seed, scale, flush_workers);
     let table = densecrowd::table(&rows);
     println!("{}", table.render());
     match densecrowd::verdict(&rows) {
@@ -242,13 +230,13 @@ fn run_failover(seed: u64, smoke: bool) {
     save("failover.csv", &failover::to_csv(&rows));
 }
 
-fn run_rings(seed: u64, smoke: bool, codec: matrix_core::WireCodec) {
+fn run_rings(seed: u64, smoke: bool) {
     let scale = if smoke {
         rings::Scale::smoke()
     } else {
         rings::Scale::full()
     };
-    let rows = rings::run(seed, scale, codec);
+    let rows = rings::run(seed, scale);
     println!("{}", rings::table(&rows).render());
     match rings::verdict(&rows) {
         Ok(line) => println!("{line}"),
@@ -257,13 +245,13 @@ fn run_rings(seed: u64, smoke: bool, codec: matrix_core::WireCodec) {
     save("rings.csv", &rings::to_csv(&rows));
 }
 
-fn run_predict(seed: u64, smoke: bool, codec: matrix_core::WireCodec) {
+fn run_predict(seed: u64, smoke: bool) {
     let scale = if smoke {
         predict::Scale::smoke()
     } else {
         predict::Scale::full()
     };
-    let rows = predict::run(seed, scale, codec);
+    let rows = predict::run(seed, scale);
     println!("{}", predict::table(&rows).render());
     match predict::verdict(&rows, &matrix_games::GameSpec::racer()) {
         Ok(line) => println!("{line}"),

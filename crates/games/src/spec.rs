@@ -287,8 +287,7 @@ impl GameSpec {
     /// nominal movement speed (floored at the default origin lattice,
     /// `1/256`). Relative precision is what matters — a racer at
     /// 120 u/s is served by a 1 u/s lattice exactly as a walker at
-    /// 1.5 u/s is by 1/64 — and the coarser the lattice, the shorter
-    /// the velocity tag prints on the JSON codec. The quantization
+    /// 1.5 u/s is by 1/64. The quantization
     /// drift this admits (`q/√2` per second) stays a small fraction of
     /// [`GameSpec::recommended_error_budgets`] over any realistic
     /// basis lifetime, and the sender's receiver model admits the

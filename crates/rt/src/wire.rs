@@ -1,42 +1,35 @@
-//! TCP gateway: dual-codec framing for remote game clients.
+//! TCP endpoints speaking wire protocol v2 (`matrix_core::codec_v2`,
+//! `docs/WIRE.md`): the game gateway, the replica stream and the live
+//! stats endpoint.
 //!
-//! Demonstrates the middleware across a real socket: remote clients speak
-//! [`ClientToGame`]/[`GameToClient`] either as wire protocol v2 —
-//! length-prefixed binary frames (`matrix_core::codec_v2`,
-//! `docs/WIRE.md`) — or as v1 newline-delimited JSON
-//! (`matrix_core::codec`). The gateway bridges each connection onto the
-//! in-process cluster, keeping the client's current server in sync with
-//! `SwitchServer` instructions it relays (so the remote client stays
-//! oblivious to topology, §3.2.1).
+//! The gateway bridges each remote client onto the in-process cluster,
+//! keeping the client's current server in sync with `SwitchServer`
+//! instructions it relays (so the remote client stays oblivious to
+//! topology, §3.2.1).
 //!
-//! # Version negotiation
+//! # Handshake
 //!
-//! A byte stream is self-identifying: no JSON line starts with the
-//! binary magic byte `0xD7`, and no binary frame starts with `{`. The
-//! gateway sniffs the first byte of each connection and speaks whatever
-//! the client opened with. A v2 client opens with a binary
-//! [`Frame::Hello`] followed by a single newline pad byte: a v2 gateway
-//! skips the pad (stream resync) and answers with its own `Hello`,
-//! while a legacy v1 gateway reads one garbage "line", fails to parse
-//! it and closes — which the client treats as "fall back to JSON and
-//! reconnect" ([`TcpGameClient::connect`]).
+//! A client opens with a binary [`Frame::Hello`] and waits for the
+//! gateway's `Hello` before it joins. Gateway and stats endpoint read
+//! the first byte of every connection: anything but
+//! [`codec_v2::MAGIC`]`[0]` is not v2, and the connection is closed at
+//! once. After that, a corrupt region resynchronizes at the next magic
+//! boundary — which also swallows the newline pad some v2 clients
+//! send after their `Hello`.
 //!
-//! `UpdateBatch` frames arrive delta-compressed in both codecs (see
-//! `matrix_core::codec` for the JSON item grammar and
-//! `matrix_core::codec_v2` for the binary item layout); the gateway
-//! relays them verbatim, and remote clients rebuild absolute origins
-//! with `matrix_core::reconstruct_updates`, resetting their stream base
-//! on every (re)join exactly as [`TcpGameClient`]'s in-process
-//! counterpart (`RtClient`) does.
+//! `UpdateBatch` frames arrive delta-compressed; the gateway relays
+//! them verbatim, and remote clients rebuild absolute origins with
+//! `matrix_core::reconstruct_updates`, resetting their stream base on
+//! every (re)join exactly as [`TcpGameClient`]'s in-process counterpart
+//! (`RtClient`) does.
 
 use crate::node::{NodeHandle, NodeMsg};
 use crate::router::Router;
-use matrix_core::codec::{self, CodecError, StatsFormat};
-use matrix_core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta};
+use matrix_core::codec_v2::{self, CodecError, Frame, FrameAccumulator, FrameMeta, StatsFormat};
 use matrix_core::{render_prometheus, ClientToGame, GameToClient, TelemetrySnapshot, WireCodec};
 use matrix_geometry::ServerId;
-use tokio::io::{AsyncBufReadExt, AsyncChunkReadExt, AsyncWriteExt, BufReader, Chunks};
-use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
+use tokio::io::{AsyncChunkReadExt, AsyncWriteExt, Chunks};
+use tokio::net::tcp::OwnedWriteHalf;
 use tokio::net::{TcpListener, TcpStream, ToSocketAddrs};
 use tokio::sync::mpsc;
 
@@ -45,8 +38,7 @@ use tokio::sync::mpsc;
 pub enum WireError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// A frame was not valid (JSON or binary) for the expected message
-    /// type.
+    /// A frame was not valid for the expected message type.
     BadFrame(CodecError),
     /// The peer closed the connection.
     Closed,
@@ -109,74 +101,50 @@ impl FrameClock {
     }
 }
 
-/// Assembles newline-delimited lines from raw chunks — used on sniffed
-/// connections, where a dedicated line reader cannot own the socket.
-#[derive(Debug, Default)]
-struct LineAssembler {
-    buf: Vec<u8>,
-}
-
-impl LineAssembler {
-    fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn next_line(&mut self) -> Option<Result<String, CodecError>> {
-        let pos = self.buf.iter().position(|&b| b == b'\n')?;
-        let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-        line.pop();
-        while line.last() == Some(&b'\r') {
-            line.pop();
+/// Reads an accepted connection's first bytes. Returns them buffered in
+/// an accumulator when they open a v2 frame, or `None` — close the
+/// connection — when the peer hangs up or opens with anything else.
+async fn open_v2(chunks: &mut Chunks) -> Option<FrameAccumulator> {
+    loop {
+        let bytes = chunks.next_chunk().await.ok()??;
+        let Some(&first) = bytes.first() else {
+            continue;
+        };
+        if first != codec_v2::MAGIC[0] {
+            return None;
         }
-        Some(String::from_utf8(line).map_err(|_| CodecError {
-            reason: "line is not UTF-8".into(),
-        }))
+        let mut acc = FrameAccumulator::new();
+        acc.push(&bytes);
+        return Some(acc);
     }
-}
-
-/// Per-connection receive state: undecided until the first byte
-/// arrives, then pinned to whichever codec the client opened with.
-enum SessionCodec {
-    Undecided,
-    Json(LineAssembler),
-    Binary(FrameAccumulator),
 }
 
 /// Gateway behaviour knobs (see [`spawn_gateway_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayOptions {
-    /// Accept binary (v2) openers. Off simulates a legacy v1 gateway:
-    /// binary openers are dropped, which is exactly what a JSON-only
-    /// peer's parse-and-close does — used to exercise client fallback.
-    pub accept_binary: bool,
-    /// Append CRC32 trailers to outgoing binary frames.
+    /// Append CRC32 trailers to outgoing frames.
     pub frame_crc: bool,
 }
 
 impl Default for GatewayOptions {
     fn default() -> Self {
-        GatewayOptions {
-            accept_binary: true,
-            frame_crc: true,
-        }
+        GatewayOptions { frame_crc: true }
     }
 }
 
 impl GatewayOptions {
-    /// Options matching a game-server config: the gateway accepts
-    /// binary unless the node is pinned to the JSON codec, and mirrors
-    /// its CRC policy.
+    /// Options matching a game-server config: the gateway mirrors its
+    /// CRC policy.
     pub fn from_config(cfg: &matrix_core::GameServerConfig) -> GatewayOptions {
         GatewayOptions {
-            accept_binary: cfg.codec == WireCodec::BinaryV2,
             frame_crc: cfg.frame_crc,
         }
     }
 }
 
 /// Binds a TCP gateway in front of a running cluster with default
-/// options (binary accepted, CRC on). Returns the local address; the
-/// accept loop runs until the listener task is dropped.
+/// options (CRC on). Returns the local address; the accept loop runs
+/// until the listener task is dropped.
 ///
 /// # Errors
 ///
@@ -262,86 +230,52 @@ async fn serve_connection(
     entry: ServerId,
     opts: GatewayOptions,
 ) {
+    let (read_half, mut write_half) = stream.into_split();
+    let mut chunks = read_half.into_chunks();
+    let Some(mut acc) = open_v2(&mut chunks).await else {
+        return;
+    };
     let client_id = router.allocate_client_id();
     let (inbox_tx, mut inbox_rx) = mpsc::unbounded_channel::<GameToClient>();
     router.register_client(client_id, inbox_tx);
-
-    let (read_half, mut write_half) = stream.into_split();
-    let mut chunks = read_half.into_chunks();
     // The gateway tracks which server currently owns this client so
     // uploads land at the right node, and the client's last position so
     // a transparent re-join lands where the player actually is.
     let mut current = entry;
     let mut session = RemoteSession::new();
-    let mut rx = SessionCodec::Undecided;
     let mut clock = FrameClock::new(opts.frame_crc);
 
     'conn: loop {
+        while let Some(item) = acc.next() {
+            match item {
+                Ok((Frame::Hello { .. }, _)) => {
+                    // Advertise v2 back; the client is waiting on this
+                    // before it joins.
+                    let hello = Frame::Hello {
+                        version: codec_v2::WIRE_VERSION,
+                    };
+                    let bytes = codec_v2::encode_frame(&hello, clock.meta(), clock.crc);
+                    if write_half.write_all(&bytes).await.is_err() {
+                        break 'conn;
+                    }
+                }
+                Ok((Frame::Client(msg), _)) => {
+                    session.observe(&msg);
+                    router.send_node(current, NodeMsg::FromClient(client_id, msg));
+                }
+                // A client has no business sending server/replica/stats
+                // frames.
+                Ok(_) => break 'conn,
+                // Corrupt region: the accumulator already resynced at the
+                // next magic boundary (this also swallows a newline pad
+                // after the client's Hello).
+                Err(_) => continue,
+            }
+        }
         tokio::select! {
             chunk = chunks.next_chunk() => {
                 let Ok(Some(bytes)) = chunk else { break };
-                if bytes.is_empty() {
-                    continue;
-                }
-                if let SessionCodec::Undecided = rx {
-                    rx = if bytes[0] == codec_v2::MAGIC[0] {
-                        if !opts.accept_binary {
-                            break; // legacy gateway: binary opener is garbage
-                        }
-                        SessionCodec::Binary(FrameAccumulator::new())
-                    } else {
-                        SessionCodec::Json(LineAssembler::default())
-                    };
-                }
-                match &mut rx {
-                    SessionCodec::Undecided => unreachable!("decided above"),
-                    SessionCodec::Json(lines) => {
-                        lines.push(&bytes);
-                        while let Some(line) = lines.next_line() {
-                            let msg = line
-                                .ok()
-                                .and_then(|l| codec::decode_client_to_game(&l).ok());
-                            match msg {
-                                Some(msg) => {
-                                    session.observe(&msg);
-                                    router.send_node(current, NodeMsg::FromClient(client_id, msg));
-                                }
-                                None => break 'conn, // corrupt frame: drop the session
-                            }
-                        }
-                    }
-                    SessionCodec::Binary(acc) => {
-                        acc.push(&bytes);
-                        while let Some(item) = acc.next() {
-                            match item {
-                                Ok((Frame::Hello { .. }, _)) => {
-                                    // Advertise v2 back; the client is
-                                    // waiting on this before it joins.
-                                    let hello = Frame::Hello {
-                                        version: codec_v2::WIRE_VERSION,
-                                    };
-                                    let bytes =
-                                        codec_v2::encode_frame(&hello, clock.meta(), clock.crc);
-                                    if write_half.write_all(&bytes).await.is_err() {
-                                        break 'conn;
-                                    }
-                                }
-                                Ok((Frame::Client(msg), _)) => {
-                                    session.observe(&msg);
-                                    router.send_node(current, NodeMsg::FromClient(client_id, msg));
-                                }
-                                // A client has no business sending
-                                // server/replica/stats frames.
-                                Ok(_) => break 'conn,
-                                // Corrupt region: the accumulator already
-                                // resynced at the next magic boundary (this
-                                // also swallows the newline pad after the
-                                // client's Hello).
-                                Err(_) => continue,
-                            }
-                        }
-                    }
-                }
+                acc.push(&bytes);
             }
             msg = inbox_rx.recv() => {
                 let Some(msg) = msg else { break };
@@ -355,18 +289,7 @@ async fn serve_connection(
                         NodeMsg::FromClient(client_id, session.rejoin()),
                     );
                 }
-                let framed = match &rx {
-                    // Binary out only once the client opened with binary;
-                    // before that (or on a JSON session) speak v1.
-                    SessionCodec::Binary(_) => {
-                        codec_v2::encode_server_frame(&msg, clock.meta(), clock.crc)
-                    }
-                    _ => {
-                        let mut line = codec::encode_game_to_client(&msg);
-                        line.push('\n');
-                        line.into_bytes()
-                    }
-                };
+                let framed = codec_v2::encode_server_frame(&msg, clock.meta(), clock.crc);
                 if write_half.write_all(&framed).await.is_err() {
                     break;
                 }
@@ -380,14 +303,11 @@ async fn serve_connection(
 /// Returns the local address; the accept loop runs until the listener
 /// task is dropped.
 ///
-/// Protocol: one stats query per connection — either a JSON line
-/// (`matrix_core::codec::encode_stats_query`) or a binary
-/// `Frame::StatsQuery` (sniffed, like the gateway) — answered in the
-/// same codec: a stats-reply line or frame for [`StatsFormat::Json`],
-/// or Prometheus-style text exposition for [`StatsFormat::Prom`]
-/// (always plain text, in both codecs), then the server closes the
-/// connection. Nodes with telemetry off contribute nothing, so the
-/// reply is empty — not an error — on a dark cluster.
+/// Protocol: one `Frame::StatsQuery` per connection, answered with a
+/// `Frame::StatsReply` for [`StatsFormat::Binary`] or with
+/// Prometheus-style text exposition for [`StatsFormat::Prom`]; then the
+/// server closes the connection. Nodes with telemetry off contribute
+/// nothing, so the reply is empty — not an error — on a dark cluster.
 ///
 /// When an `slo` probe is supplied, the coordinator's freshness-SLO
 /// gauges (`slo_*`) are appended as pseudo-node `ServerId(0)` — the
@@ -417,50 +337,18 @@ pub async fn spawn_stats_endpoint(
     Ok(local)
 }
 
-/// Reads one stats query off the socket, in whichever codec the peer
-/// opened with. Returns the format and whether the query was binary.
-async fn read_stats_query(chunks: &mut Chunks) -> Option<(StatsFormat, bool)> {
-    let mut rx = SessionCodec::Undecided;
+/// Reads one stats query off the socket.
+async fn read_stats_query(chunks: &mut Chunks) -> Option<StatsFormat> {
+    let mut acc = open_v2(chunks).await?;
     loop {
-        let bytes = chunks.next_chunk().await.ok()??;
-        if bytes.is_empty() {
-            continue;
-        }
-        if let SessionCodec::Undecided = rx {
-            rx = if bytes[0] == codec_v2::MAGIC[0] {
-                SessionCodec::Binary(FrameAccumulator::new())
-            } else {
-                SessionCodec::Json(LineAssembler::default())
-            };
-        }
-        match &mut rx {
-            SessionCodec::Undecided => unreachable!("decided above"),
-            SessionCodec::Json(lines) => {
-                if let Some(line) = lines.next_line_after(&bytes) {
-                    let fmt = codec::decode_stats_query(&line.ok()?).ok()?;
-                    return Some((fmt, false));
-                }
-            }
-            SessionCodec::Binary(acc) => {
-                acc.push(&bytes);
-                while let Some(item) = acc.next() {
-                    match item {
-                        Ok((Frame::StatsQuery(fmt), _)) => return Some((fmt, true)),
-                        Ok(_) => return None, // wrong frame type: drop
-                        Err(_) => continue,   // resync and keep reading
-                    }
-                }
+        while let Some(item) = acc.next() {
+            match item {
+                Ok((Frame::StatsQuery(fmt), _)) => return Some(fmt),
+                Ok(_) => return None, // wrong frame type: drop
+                Err(_) => continue,   // resync and keep reading
             }
         }
-    }
-}
-
-impl LineAssembler {
-    /// Pushes `bytes`, then pops the first completed line (the stats
-    /// path only ever wants one).
-    fn next_line_after(&mut self, bytes: &[u8]) -> Option<Result<String, CodecError>> {
-        self.push(bytes);
-        self.next_line()
+        acc.push(&chunks.next_chunk().await.ok()??);
     }
 }
 
@@ -471,8 +359,8 @@ async fn serve_stats(
 ) {
     let (read_half, mut write_half) = stream.into_split();
     let mut chunks = read_half.into_chunks();
-    let Some((fmt, binary)) = read_stats_query(&mut chunks).await else {
-        return; // malformed or wrong-version query: drop the session
+    let Some(fmt) = read_stats_query(&mut chunks).await else {
+        return; // not v2, malformed or wrong-version query: drop the session
     };
     let mut snaps: Vec<(ServerId, TelemetrySnapshot)> = Vec::new();
     if let Some(probe) = &slo {
@@ -489,16 +377,11 @@ async fn serve_stats(
             }
         }
     }
-    let reply: Vec<u8> = match (fmt, binary) {
-        (StatsFormat::Json, true) => {
+    let reply: Vec<u8> = match fmt {
+        StatsFormat::Binary => {
             codec_v2::encode_frame(&Frame::StatsReply(snaps), FrameMeta::default(), true)
         }
-        (StatsFormat::Json, false) => {
-            let mut line = codec::encode_stats_reply(&snaps);
-            line.push('\n');
-            line.into_bytes()
-        }
-        (StatsFormat::Prom, _) => {
+        StatsFormat::Prom => {
             let mut text = render_prometheus(&snaps);
             if !text.ends_with('\n') {
                 text.push('\n');
@@ -516,58 +399,34 @@ async fn serve_stats(
 pub struct TcpStatsClient;
 
 impl TcpStatsClient {
-    /// Fetches the cluster's per-node telemetry snapshots as structured
-    /// data over the v1 JSON codec (any language can speak it).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Closed`] if the endpoint hangs up without replying,
-    /// socket errors, or [`WireError::BadFrame`] for a malformed reply.
-    pub async fn fetch_json(
+    /// Connects and sends one stats query frame. The write half must
+    /// outlive the read: dropping it closes the socket.
+    async fn query(
         addr: impl ToSocketAddrs,
-    ) -> Result<Vec<(ServerId, TelemetrySnapshot)>, WireError> {
+        fmt: StatsFormat,
+    ) -> Result<(Chunks, OwnedWriteHalf), WireError> {
         let stream = TcpStream::connect(addr).await?;
         let (read_half, mut write_half) = stream.into_split();
-        let mut framed = codec::encode_stats_query(StatsFormat::Json);
-        framed.push('\n');
-        write_half.write_all(framed.as_bytes()).await?;
-        let mut lines = BufReader::new(read_half).lines();
-        let line = lines.next_line().await?.ok_or(WireError::Closed)?;
-        Ok(codec::decode_stats_reply(&line)?)
+        let query = codec_v2::encode_frame(&Frame::StatsQuery(fmt), FrameMeta::default(), true);
+        write_half.write_all(&query).await?;
+        Ok((read_half.into_chunks(), write_half))
     }
 
-    /// Fetches the same structured snapshots over the v2 binary codec.
+    /// Fetches the cluster's per-node telemetry snapshots as structured
+    /// data.
     ///
     /// # Errors
     ///
     /// [`WireError::Closed`] if the endpoint hangs up without replying,
     /// socket errors, or [`WireError::BadFrame`] for a malformed or
     /// unexpected reply frame.
-    pub async fn fetch_json_v2(
+    pub async fn fetch(
         addr: impl ToSocketAddrs,
     ) -> Result<Vec<(ServerId, TelemetrySnapshot)>, WireError> {
-        let stream = TcpStream::connect(addr).await?;
-        let (read_half, mut write_half) = stream.into_split();
-        let query = codec_v2::encode_frame(
-            &Frame::StatsQuery(StatsFormat::Json),
-            FrameMeta::default(),
-            true,
-        );
-        write_half.write_all(&query).await?;
-        let mut chunks = read_half.into_chunks();
-        let mut acc = FrameAccumulator::new();
-        loop {
-            if let Some(item) = acc.next() {
-                match item {
-                    Ok((Frame::StatsReply(nodes), _)) => return Ok(nodes),
-                    Ok(_) => return Err(bad_frame("expected a stats-reply frame")),
-                    Err(e) => return Err(WireError::BadFrame(e)),
-                }
-            }
-            match chunks.next_chunk().await? {
-                Some(bytes) => acc.push(&bytes),
-                None => return Err(WireError::Closed),
-            }
+        let (chunks, _write) = TcpStatsClient::query(addr, StatsFormat::Binary).await?;
+        match FrameReader::new(chunks).next_frame().await? {
+            Frame::StatsReply(nodes) => Ok(nodes),
+            _ => Err(bad_frame("expected a stats-reply frame")),
         }
     }
 
@@ -576,140 +435,69 @@ impl TcpStatsClient {
     /// # Errors
     ///
     /// Socket errors from connecting, writing the query or reading the
-    /// response.
+    /// response; [`WireError::BadFrame`] if the text is not UTF-8.
     pub async fn fetch_text(addr: impl ToSocketAddrs) -> Result<String, WireError> {
-        let stream = TcpStream::connect(addr).await?;
-        let (read_half, mut write_half) = stream.into_split();
-        let mut framed = codec::encode_stats_query(StatsFormat::Prom);
-        framed.push('\n');
-        write_half.write_all(framed.as_bytes()).await?;
-        let mut lines = BufReader::new(read_half).lines();
-        let mut out = String::new();
-        while let Some(line) = lines.next_line().await? {
-            out.push_str(&line);
-            out.push('\n');
+        let (mut chunks, _write) = TcpStatsClient::query(addr, StatsFormat::Prom).await?;
+        let mut text = Vec::new();
+        while let Some(bytes) = chunks.next_chunk().await? {
+            text.extend_from_slice(&bytes);
         }
-        Ok(out)
+        String::from_utf8(text).map_err(|_| bad_frame("stats text is not UTF-8"))
     }
 }
 
-/// Receive side of a dual-codec stream: a line reader for v1, a chunk
-/// reader plus frame accumulator for v2.
-enum StreamReader {
-    Json(tokio::io::Lines<BufReader<OwnedReadHalf>>),
-    Binary(Chunks, FrameAccumulator),
+/// Receive side of a v2 stream: a chunk reader plus frame accumulator.
+struct FrameReader {
+    chunks: Chunks,
+    acc: FrameAccumulator,
 }
 
-impl StreamReader {
-    fn new(read_half: OwnedReadHalf, codec: WireCodec) -> StreamReader {
-        match codec {
-            WireCodec::Json => StreamReader::Json(BufReader::new(read_half).lines()),
-            WireCodec::BinaryV2 => {
-                StreamReader::Binary(read_half.into_chunks(), FrameAccumulator::new())
-            }
+impl FrameReader {
+    fn new(chunks: Chunks) -> FrameReader {
+        FrameReader {
+            chunks,
+            acc: FrameAccumulator::new(),
         }
     }
 
-    /// Next binary frame (only valid on a binary reader).
     async fn next_frame(&mut self) -> Result<Frame, WireError> {
-        let StreamReader::Binary(chunks, acc) = self else {
-            unreachable!("next_frame on a JSON reader");
-        };
         loop {
-            if let Some(item) = acc.next() {
-                match item {
-                    Ok((frame, _)) => return Ok(frame),
-                    Err(e) => return Err(WireError::BadFrame(e)),
-                }
+            if let Some(item) = self.acc.next() {
+                return Ok(item?.0);
             }
-            match chunks.next_chunk().await? {
-                Some(bytes) => acc.push(&bytes),
+            match self.chunks.next_chunk().await? {
+                Some(bytes) => self.acc.push(&bytes),
                 None => return Err(WireError::Closed),
             }
         }
     }
-
-    /// Next line (only valid on a JSON reader).
-    async fn next_json_line(&mut self) -> Result<String, WireError> {
-        let StreamReader::Json(lines) = self else {
-            unreachable!("next_json_line on a binary reader");
-        };
-        lines.next_line().await?.ok_or(WireError::Closed)
-    }
 }
 
-/// A replication stream over a real TCP socket, in either codec: v1
-/// newline-delimited versioned JSON frames
-/// (`matrix_core::codec::encode_replica_batch` / `encode_replica_ack`)
-/// or v2 binary frames (`Frame::Replica` / `Frame::ReplicaAck`).
+/// A replication stream over a real TCP socket: `Frame::Replica` and
+/// `Frame::ReplicaAck`.
 ///
 /// The in-process cluster ships replica batches over the router; this
 /// endpoint carries the same batches between *machines* — a primary
 /// connects to its standby's listener (or vice versa; the framing is
 /// symmetric) and streams snapshots + ops, reading acks off the same
-/// socket. Both ends are deployed from the same config, so the codec is
-/// chosen explicitly rather than negotiated. Version mismatches surface
-/// as [`WireError::BadFrame`] before any state is adopted.
+/// socket. Version mismatches surface as [`WireError::BadFrame`] before
+/// any state is adopted.
 pub struct ReplicaStream {
-    reader: StreamReader,
+    reader: FrameReader,
     writer: OwnedWriteHalf,
-    codec: WireCodec,
     clock: FrameClock,
 }
 
 impl ReplicaStream {
-    /// Wraps an accepted or established socket speaking v1 JSON.
-    pub fn new(stream: TcpStream) -> ReplicaStream {
-        ReplicaStream::new_with(stream, WireCodec::Json, true)
-    }
-
-    /// Wraps a socket speaking the given codec (`frame_crc` applies to
-    /// binary frames only).
-    pub fn new_with(stream: TcpStream, codec: WireCodec, frame_crc: bool) -> ReplicaStream {
-        let (read_half, write_half) = stream.into_split();
+    /// Wraps an accepted or established socket; `frame_crc` appends
+    /// CRC32 trailers to outgoing frames.
+    pub fn new(stream: TcpStream, frame_crc: bool) -> ReplicaStream {
+        let (read_half, writer) = stream.into_split();
         ReplicaStream {
-            reader: StreamReader::new(read_half, codec),
-            writer: write_half,
-            codec,
+            reader: FrameReader::new(read_half.into_chunks()),
+            writer,
             clock: FrameClock::new(frame_crc),
         }
-    }
-
-    /// Connects to a listening peer, speaking v1 JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection errors from the operating system.
-    pub async fn connect(addr: impl ToSocketAddrs) -> Result<ReplicaStream, WireError> {
-        Ok(ReplicaStream::new(TcpStream::connect(addr).await?))
-    }
-
-    /// Connects to a listening peer, speaking the given codec.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection errors from the operating system.
-    pub async fn connect_with(
-        addr: impl ToSocketAddrs,
-        codec: WireCodec,
-        frame_crc: bool,
-    ) -> Result<ReplicaStream, WireError> {
-        Ok(ReplicaStream::new_with(
-            TcpStream::connect(addr).await?,
-            codec,
-            frame_crc,
-        ))
-    }
-
-    /// The codec this stream speaks.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
-    }
-
-    async fn send_line(&mut self, mut line: String) -> Result<(), WireError> {
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).await?;
-        Ok(())
     }
 
     /// Ships one replication batch (snapshot or ops).
@@ -718,15 +506,9 @@ impl ReplicaStream {
     ///
     /// Socket errors; encoding cannot fail.
     pub async fn send_batch(&mut self, batch: &matrix_core::ReplicaBatch) -> Result<(), WireError> {
-        match self.codec {
-            WireCodec::Json => self.send_line(codec::encode_replica_batch(batch)).await,
-            WireCodec::BinaryV2 => {
-                let bytes =
-                    codec_v2::encode_replica_batch_frame(batch, self.clock.meta(), self.clock.crc);
-                self.writer.write_all(&bytes).await?;
-                Ok(())
-            }
-        }
+        let bytes = codec_v2::encode_replica_batch_frame(batch, self.clock.meta(), self.clock.crc);
+        self.writer.write_all(&bytes).await?;
+        Ok(())
     }
 
     /// Receives the next replication batch.
@@ -736,15 +518,9 @@ impl ReplicaStream {
     /// [`WireError::Closed`] on hangup; [`WireError::BadFrame`] for
     /// malformed frames or an unsupported replication format version.
     pub async fn recv_batch(&mut self) -> Result<matrix_core::ReplicaBatch, WireError> {
-        match self.codec {
-            WireCodec::Json => {
-                let line = self.reader.next_json_line().await?;
-                Ok(codec::decode_replica_batch(&line)?)
-            }
-            WireCodec::BinaryV2 => match self.reader.next_frame().await? {
-                Frame::Replica(batch) => Ok(*batch),
-                _ => Err(bad_frame("expected a replica frame")),
-            },
+        match self.reader.next_frame().await? {
+            Frame::Replica(batch) => Ok(*batch),
+            _ => Err(bad_frame("expected a replica frame")),
         }
     }
 
@@ -754,15 +530,10 @@ impl ReplicaStream {
     ///
     /// Socket errors; encoding cannot fail.
     pub async fn send_ack(&mut self, seq: u64, resync: bool) -> Result<(), WireError> {
-        match self.codec {
-            WireCodec::Json => self.send_line(codec::encode_replica_ack(seq, resync)).await,
-            WireCodec::BinaryV2 => {
-                let frame = Frame::ReplicaAck { seq, resync };
-                let bytes = codec_v2::encode_frame(&frame, self.clock.meta(), self.clock.crc);
-                self.writer.write_all(&bytes).await?;
-                Ok(())
-            }
-        }
+        let frame = Frame::ReplicaAck { seq, resync };
+        let bytes = codec_v2::encode_frame(&frame, self.clock.meta(), self.clock.crc);
+        self.writer.write_all(&bytes).await?;
+        Ok(())
     }
 
     /// Receives the next acknowledgement as `(seq, resync)`.
@@ -772,105 +543,62 @@ impl ReplicaStream {
     /// [`WireError::Closed`] on hangup; [`WireError::BadFrame`] for
     /// malformed or version-mismatched frames.
     pub async fn recv_ack(&mut self) -> Result<(u64, bool), WireError> {
-        match self.codec {
-            WireCodec::Json => {
-                let line = self.reader.next_json_line().await?;
-                Ok(codec::decode_replica_ack(&line)?)
-            }
-            WireCodec::BinaryV2 => match self.reader.next_frame().await? {
-                Frame::ReplicaAck { seq, resync } => Ok((seq, resync)),
-                _ => Err(bad_frame("expected a replica-ack frame")),
-            },
+        match self.reader.next_frame().await? {
+            Frame::ReplicaAck { seq, resync } => Ok((seq, resync)),
+            _ => Err(bad_frame("expected a replica-ack frame")),
         }
     }
 }
 
-/// A remote TCP game client speaking whichever protocol version the
-/// gateway supports: it advertises v2 with a binary `Hello` and falls
-/// back to v1 JSON when the peer hangs up instead of answering.
+/// A remote TCP game client.
 pub struct TcpGameClient {
-    reader: StreamReader,
+    reader: FrameReader,
     writer: OwnedWriteHalf,
-    codec: WireCodec,
     clock: FrameClock,
 }
 
 impl TcpGameClient {
-    /// Connects to a gateway, negotiating the protocol version: opens
-    /// with a binary `Hello` (plus a newline pad, so a v1 JSON gateway
-    /// completes a line read, fails to parse and closes), and falls
-    /// back to a fresh v1 JSON connection if the peer hangs up without
-    /// answering.
+    /// Connects to a gateway: sends a `Hello` and waits for the
+    /// gateway's.
     ///
     /// # Errors
     ///
-    /// Returns connection errors from the operating system.
-    pub async fn connect(addr: impl ToSocketAddrs + Clone) -> Result<TcpGameClient, WireError> {
-        match TcpGameClient::connect_binary(addr.clone()).await {
-            Ok(client) => Ok(client),
-            // The peer hung up on (or garbled) our Hello: it speaks v1.
-            Err(WireError::Closed | WireError::BadFrame(_) | WireError::Io(_)) => {
-                TcpGameClient::connect_with(addr, WireCodec::Json).await
-            }
-        }
-    }
-
-    /// Connects speaking exactly the given codec — no negotiation, no
-    /// fallback.
-    ///
-    /// # Errors
-    ///
-    /// Connection errors; for [`WireCodec::BinaryV2`] additionally
-    /// [`WireError::Closed`] when the peer does not speak v2.
-    pub async fn connect_with(
-        addr: impl ToSocketAddrs,
-        codec: WireCodec,
-    ) -> Result<TcpGameClient, WireError> {
-        match codec {
-            WireCodec::BinaryV2 => TcpGameClient::connect_binary(addr).await,
-            WireCodec::Json => {
-                let stream = TcpStream::connect(addr).await?;
-                let (read_half, writer) = stream.into_split();
-                Ok(TcpGameClient {
-                    reader: StreamReader::new(read_half, WireCodec::Json),
-                    writer,
-                    codec: WireCodec::Json,
-                    clock: FrameClock::new(true),
-                })
-            }
-        }
-    }
-
-    async fn connect_binary(addr: impl ToSocketAddrs) -> Result<TcpGameClient, WireError> {
+    /// Connection errors; [`WireError::Closed`] when the peer hangs up
+    /// instead of answering, [`WireError::BadFrame`] when it answers
+    /// with anything but a `Hello`.
+    pub async fn connect(addr: impl ToSocketAddrs) -> Result<TcpGameClient, WireError> {
         let stream = TcpStream::connect(addr).await?;
         let (read_half, mut writer) = stream.into_split();
         let mut clock = FrameClock::new(true);
-        let mut hello = codec_v2::encode_frame(
-            &Frame::Hello {
-                version: codec_v2::WIRE_VERSION,
-            },
-            clock.meta(),
-            clock.crc,
-        );
-        // Newline pad: lets a v1 line reader complete (and reject) a
-        // read instead of blocking forever on a frame with no newline.
-        hello.push(b'\n');
-        writer.write_all(&hello).await?;
-        let mut reader = StreamReader::new(read_half, WireCodec::BinaryV2);
+        let hello = Frame::Hello {
+            version: codec_v2::WIRE_VERSION,
+        };
+        writer
+            .write_all(&codec_v2::encode_frame(&hello, clock.meta(), clock.crc))
+            .await?;
+        let mut reader = FrameReader::new(read_half.into_chunks());
         match reader.next_frame().await? {
             Frame::Hello { .. } => Ok(TcpGameClient {
                 reader,
                 writer,
-                codec: WireCodec::BinaryV2,
                 clock,
             }),
             _ => Err(bad_frame("expected a hello frame")),
         }
     }
 
-    /// The protocol the negotiation settled on.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
+    /// [`TcpGameClient::connect`] for callers that name the codec;
+    /// v2 is the only one.
+    ///
+    /// # Errors
+    ///
+    /// As [`TcpGameClient::connect`].
+    pub async fn connect_with(
+        addr: impl ToSocketAddrs,
+        codec: WireCodec,
+    ) -> Result<TcpGameClient, WireError> {
+        let WireCodec::BinaryV2 = codec;
+        TcpGameClient::connect(addr).await
     }
 
     /// Sends one client message.
@@ -879,16 +607,7 @@ impl TcpGameClient {
     ///
     /// Returns socket errors; serialisation of these types cannot fail.
     pub async fn send(&mut self, msg: &ClientToGame) -> Result<(), WireError> {
-        let framed = match self.codec {
-            WireCodec::Json => {
-                let mut line = codec::encode_client_to_game(msg);
-                line.push('\n');
-                line.into_bytes()
-            }
-            WireCodec::BinaryV2 => {
-                codec_v2::encode_client_frame(msg, self.clock.meta(), self.clock.crc)
-            }
-        };
+        let framed = codec_v2::encode_client_frame(msg, self.clock.meta(), self.clock.crc);
         self.writer.write_all(&framed).await?;
         Ok(())
     }
@@ -900,18 +619,12 @@ impl TcpGameClient {
     /// [`WireError::Closed`] when the server hangs up, or socket/frame
     /// errors.
     pub async fn recv(&mut self) -> Result<GameToClient, WireError> {
-        match self.codec {
-            WireCodec::Json => {
-                let line = self.reader.next_json_line().await?;
-                Ok(codec::decode_game_to_client(&line)?)
+        loop {
+            match self.reader.next_frame().await? {
+                Frame::Server(msg) => return Ok(msg),
+                Frame::Hello { .. } => continue, // late re-advertisement
+                _ => return Err(bad_frame("unexpected frame from gateway")),
             }
-            WireCodec::BinaryV2 => loop {
-                match self.reader.next_frame().await? {
-                    Frame::Server(msg) => return Ok(msg),
-                    Frame::Hello { .. } => continue, // late re-advertisement
-                    _ => return Err(bad_frame("unexpected frame from gateway")),
-                }
-            },
         }
     }
 }
@@ -951,17 +664,5 @@ mod tests {
             },
             "the transparent re-join carries the real position and state"
         );
-    }
-
-    #[test]
-    fn line_assembler_splits_on_newlines_across_chunks() {
-        let mut lines = LineAssembler::default();
-        lines.push(b"{\"t\":\"le");
-        assert!(lines.next_line().is_none(), "no newline yet");
-        lines.push(b"ave\"}\r\n{\"t\":");
-        assert_eq!(lines.next_line().unwrap().unwrap(), "{\"t\":\"leave\"}");
-        assert!(lines.next_line().is_none(), "second line incomplete");
-        lines.push(b"\"leave\"}\n");
-        assert_eq!(lines.next_line().unwrap().unwrap(), "{\"t\":\"leave\"}");
     }
 }

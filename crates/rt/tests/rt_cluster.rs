@@ -441,12 +441,11 @@ async fn gateway_client_resumes_at_its_real_position_after_failover() {
     cluster.shutdown().await;
 }
 
-#[tokio::test]
-async fn replica_batches_cross_a_real_tcp_socket() {
+/// A primary-shaped snapshot travels the wire and lands in a standby
+/// receiver on the other end, which acks back over the same socket.
+async fn replica_exchange(frame_crc: bool) {
     use matrix_core::{ReplicaPayload, ReplicaReceiver};
 
-    // A primary-shaped snapshot travels the wire and lands in a standby
-    // receiver on the other end, which acks back over the same socket.
     let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
         .await
         .expect("bind");
@@ -454,7 +453,7 @@ async fn replica_batches_cross_a_real_tcp_socket() {
 
     let standby = tokio::spawn(async move {
         let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new(stream);
+        let mut link = wire::ReplicaStream::new(stream, frame_crc);
         let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
         // Snapshot, then one ops batch.
         for _ in 0..2 {
@@ -465,7 +464,8 @@ async fn replica_batches_cross_a_real_tcp_socket() {
         receiver
     });
 
-    let mut link = wire::ReplicaStream::connect(addr).await.expect("connect");
+    let stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
+    let mut link = wire::ReplicaStream::new(stream, frame_crc);
     let mut snapshot = matrix_core::RegionSnapshot {
         range: Some(matrix_geometry::Rect::from_coords(0.0, 0.0, 800.0, 800.0)),
         radius: 100.0,
@@ -505,6 +505,11 @@ async fn replica_batches_cross_a_real_tcp_socket() {
         Point::new(11.0, 20.0),
         "the op applied on the far side of the socket"
     );
+}
+
+#[tokio::test]
+async fn replica_batches_cross_a_real_tcp_socket() {
+    replica_exchange(false).await;
 }
 
 #[tokio::test]
@@ -601,7 +606,7 @@ async fn ring_tagged_updates_cross_the_real_wire() {
 #[tokio::test]
 async fn stats_endpoint_serves_live_telemetry_over_tcp() {
     // E2E observability: with telemetry on, the cluster's stats endpoint
-    // answers both wire formats over a real socket — structured JSON
+    // answers both formats over a real socket — structured stats frames
     // (per-node counters + sparse histograms) and Prometheus-style text.
     let mut cfg = fast_config();
     cfg.game.telemetry = true;
@@ -624,13 +629,10 @@ async fn stats_endpoint_serves_live_telemetry_over_tcp() {
         .expect("update delivered")
         .expect("channel open");
 
-    let nodes = tokio::time::timeout(
-        Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json(addr),
-    )
-    .await
-    .expect("stats reply within deadline")
-    .expect("decoded stats reply");
+    let nodes = tokio::time::timeout(Duration::from_secs(2), wire::TcpStatsClient::fetch(addr))
+        .await
+        .expect("stats reply within deadline")
+        .expect("decoded stats reply");
     assert!(
         !nodes.is_empty(),
         "telemetry-on nodes must expose snapshots"
@@ -678,13 +680,10 @@ async fn stats_endpoint_is_empty_with_telemetry_off() {
     let _ = tokio::time::timeout(Duration::from_secs(2), client.recv())
         .await
         .unwrap();
-    let nodes = tokio::time::timeout(
-        Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json(addr),
-    )
-    .await
-    .expect("stats reply within deadline")
-    .expect("decoded stats reply");
+    let nodes = tokio::time::timeout(Duration::from_secs(2), wire::TcpStatsClient::fetch(addr))
+        .await
+        .expect("stats reply within deadline")
+        .expect("decoded stats reply");
     assert!(
         nodes.is_empty(),
         "dark cluster must expose nothing: {nodes:?}"
@@ -705,12 +704,8 @@ async fn gateway_negotiates_the_binary_protocol_by_default() {
     .await
     .expect("bind gateway");
 
+    // `connect` returns only once the gateway has answered the Hello.
     let mut remote = wire::TcpGameClient::connect(addr).await.expect("connect");
-    assert_eq!(
-        remote.codec(),
-        matrix_core::WireCodec::BinaryV2,
-        "a v2 gateway answers Hello, pinning the session to binary"
-    );
     remote
         .send(&ClientToGame::Join {
             pos: Point::new(60.0, 60.0),
@@ -723,182 +718,19 @@ async fn gateway_negotiates_the_binary_protocol_by_default() {
         .expect("join reply")
         .expect("valid frame");
     assert!(matches!(msg, GameToClient::Joined { .. }), "{msg:?}");
-    cluster.shutdown().await;
-}
-
-#[tokio::test]
-async fn client_falls_back_to_json_against_a_legacy_gateway() {
-    // accept_binary = false simulates a v1-only gateway: it drops the
-    // binary opener exactly as a JSON line parser would. The client's
-    // negotiation must survive the hangup and reconnect speaking v1 —
-    // and the session must still work end to end.
-    let cluster = RtCluster::start(RtConfig::default()).await;
-    let addr = wire::spawn_gateway_with(
-        "127.0.0.1:0",
-        cluster.router().clone(),
-        cluster.bootstrap_id(),
-        wire::GatewayOptions {
-            accept_binary: false,
-            frame_crc: false,
-        },
-    )
-    .await
-    .expect("bind gateway");
-
-    let mut remote = wire::TcpGameClient::connect(addr).await.expect("connect");
-    assert_eq!(
-        remote.codec(),
-        matrix_core::WireCodec::Json,
-        "the legacy gateway hangs up on Hello; the client falls back"
-    );
-    remote
-        .send(&ClientToGame::Join {
-            pos: Point::new(60.0, 60.0),
-            state_bytes: 64,
-        })
-        .await
-        .expect("send join");
-    let msg = tokio::time::timeout(Duration::from_secs(2), remote.recv())
-        .await
-        .expect("join reply")
-        .expect("valid frame");
-    assert!(matches!(msg, GameToClient::Joined { .. }), "{msg:?}");
-    cluster.shutdown().await;
-}
-
-#[tokio::test]
-async fn mixed_codec_clients_share_one_gateway() {
-    // One gateway, one binary client and one JSON-pinned client, both
-    // observing the same in-process actor: codec choice is strictly
-    // per-connection, not per-gateway.
-    let cluster = RtCluster::start(RtConfig::default()).await;
-    let addr = wire::spawn_gateway(
-        "127.0.0.1:0",
-        cluster.router().clone(),
-        cluster.bootstrap_id(),
-    )
-    .await
-    .expect("bind gateway");
-
-    let mut binary = wire::TcpGameClient::connect(addr)
-        .await
-        .expect("connect v2");
-    let mut json = wire::TcpGameClient::connect_with(addr, matrix_core::WireCodec::Json)
-        .await
-        .expect("connect v1");
-    assert_eq!(binary.codec(), matrix_core::WireCodec::BinaryV2);
-    assert_eq!(json.codec(), matrix_core::WireCodec::Json);
-
-    for remote in [&mut binary, &mut json] {
-        remote
-            .send(&ClientToGame::Join {
-                pos: Point::new(100.0, 100.0),
-                state_bytes: 64,
-            })
-            .await
-            .expect("send join");
-        let msg = tokio::time::timeout(Duration::from_secs(2), remote.recv())
-            .await
-            .expect("join reply")
-            .expect("valid frame");
-        assert!(matches!(msg, GameToClient::Joined { .. }), "{msg:?}");
-    }
-
-    // An actor both observe; each codec must deliver the same batch.
-    let mut alice = cluster.client(Point::new(110.0, 100.0));
-    let _ = tokio::time::timeout(Duration::from_secs(2), alice.recv())
-        .await
-        .unwrap();
-    alice.action(64);
-    for (remote, codec) in [(&mut binary, "binary"), (&mut json, "json")] {
-        let deadline = std::time::Instant::now() + Duration::from_secs(3);
-        let mut saw_update = false;
-        while std::time::Instant::now() < deadline {
-            match tokio::time::timeout(Duration::from_millis(500), remote.recv()).await {
-                Ok(Ok(GameToClient::UpdateBatch { .. })) => {
-                    saw_update = true;
-                    break;
-                }
-                Ok(Ok(_)) => {}
-                _ => break,
-            }
-        }
-        assert!(saw_update, "the {codec} client must see alice's action");
-    }
     cluster.shutdown().await;
 }
 
 #[tokio::test]
 async fn replica_batches_cross_the_socket_in_binary() {
-    use matrix_core::{ReplicaPayload, ReplicaReceiver, WireCodec};
-
-    // Same primary/standby exchange as the JSON test above, but over v2
-    // binary frames with CRC trailers.
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
-        .await
-        .expect("bind");
-    let addr = listener.local_addr().expect("addr");
-
-    let standby = tokio::spawn(async move {
-        let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new_with(stream, WireCodec::BinaryV2, true);
-        let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
-        for _ in 0..2 {
-            let batch = link.recv_batch().await.expect("batch");
-            let ack = receiver.apply(batch);
-            link.send_ack(ack.seq, ack.resync).await.expect("ack");
-        }
-        receiver
-    });
-
-    let mut link = wire::ReplicaStream::connect_with(addr, WireCodec::BinaryV2, true)
-        .await
-        .expect("connect");
-    let mut snapshot = matrix_core::RegionSnapshot {
-        range: Some(matrix_geometry::Rect::from_coords(0.0, 0.0, 800.0, 800.0)),
-        radius: 100.0,
-        ready: true,
-        ..matrix_core::RegionSnapshot::default()
-    };
-    snapshot.clients.insert(
-        matrix_core::ClientId(7),
-        matrix_core::SessionState {
-            pos: Point::new(10.0, 20.0),
-            state_bytes: 512,
-        },
-    );
-    link.send_batch(&matrix_core::ReplicaBatch {
-        seq: 1,
-        payload: ReplicaPayload::Full(snapshot),
-    })
-    .await
-    .expect("send snapshot");
-    assert_eq!(link.recv_ack().await.expect("ack"), (1, false));
-
-    link.send_batch(&matrix_core::ReplicaBatch {
-        seq: 2,
-        payload: ReplicaPayload::Ops(vec![matrix_core::ReplicaOp::Move {
-            client: matrix_core::ClientId(7),
-            pos: Point::new(11.0, 20.0),
-        }]),
-    })
-    .await
-    .expect("send ops");
-    assert_eq!(link.recv_ack().await.expect("ack"), (2, false));
-
-    let receiver = standby.await.expect("standby task");
-    let snap = receiver.snapshot().expect("warm");
-    assert_eq!(
-        snap.clients[&matrix_core::ClientId(7)].pos,
-        Point::new(11.0, 20.0),
-        "the op applied on the far side of the binary socket"
-    );
+    // The same exchange with CRC trailers on every frame.
+    replica_exchange(true).await;
 }
 
 #[tokio::test]
 async fn stats_endpoint_answers_binary_queries() {
-    // The stats endpoint sniffs like the gateway: the same snapshots
-    // come back whether the query is a v1 JSON line or a v2 frame.
+    // Both query formats are v2 frames; the structured reply and the
+    // Prometheus text must report the same join count.
     let mut cfg = fast_config();
     cfg.game.telemetry = true;
     let cluster = RtCluster::start(cfg).await;
@@ -908,32 +740,137 @@ async fn stats_endpoint_answers_binary_queries() {
         .await
         .unwrap();
 
-    let v2 = tokio::time::timeout(
+    let nodes = tokio::time::timeout(Duration::from_secs(2), wire::TcpStatsClient::fetch(addr))
+        .await
+        .expect("binary stats reply within deadline")
+        .expect("decoded stats frame");
+    let text = tokio::time::timeout(
         Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json_v2(addr),
+        wire::TcpStatsClient::fetch_text(addr),
     )
     .await
-    .expect("binary stats reply within deadline")
-    .expect("decoded stats frame");
-    let v1 = tokio::time::timeout(
-        Duration::from_secs(2),
-        wire::TcpStatsClient::fetch_json(addr),
+    .expect("prometheus text within deadline")
+    .expect("read to EOF");
+    let joins: u64 = nodes
+        .iter()
+        .map(|(_, s)| s.get_counter("joins").unwrap_or(0))
+        .sum();
+    assert!(joins >= 1, "the join is visible through the binary query");
+    let text_joins: u64 = text
+        .lines()
+        .filter(|l| l.starts_with("matrix_joins{"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum();
+    assert_eq!(joins, text_joins, "{text}");
+    cluster.shutdown().await;
+}
+
+#[tokio::test]
+async fn non_v2_openers_are_disconnected() {
+    // A JSON-lines client (the retired v1 protocol) is refused on its
+    // first byte, on the gateway and on the stats port alike, instead of
+    // being left waiting for a reply that never comes.
+    let mut cfg = fast_config();
+    cfg.game.telemetry = true;
+    let cluster = RtCluster::start(cfg).await;
+    let gateway = wire::spawn_gateway(
+        "127.0.0.1:0",
+        cluster.router().clone(),
+        cluster.bootstrap_id(),
     )
     .await
-    .expect("json stats reply within deadline")
-    .expect("decoded stats reply");
-    assert_eq!(
-        v2.len(),
-        v1.len(),
-        "both codecs expose the same set of nodes"
-    );
-    let joins = |nodes: &[(matrix_geometry::ServerId, matrix_core::TelemetrySnapshot)]| {
-        nodes
-            .iter()
-            .map(|(_, s)| s.get_counter("joins").unwrap_or(0))
-            .sum::<u64>()
+    .expect("bind gateway");
+    let stats = cluster.serve_stats("127.0.0.1:0").await.expect("bind");
+    for (addr, opener, what) in [
+        (
+            gateway,
+            &b"{\"t\":\"join\",\"x\":100.0,\"y\":100.0,\"state\":64}\n"[..],
+            "gateway",
+        ),
+        (
+            stats,
+            &b"{\"t\":\"stats\",\"v\":1,\"fmt\":\"prom\"}\n"[..],
+            "stats endpoint",
+        ),
+    ] {
+        use tokio::io::{AsyncChunkReadExt, AsyncWriteExt};
+        let stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
+        // Hold the write half: dropping it would close the socket from
+        // this side and make the check vacuous.
+        let (read_half, mut write_half) = stream.into_split();
+        write_half.write_all(opener).await.expect("send opener");
+        let mut chunks = read_half.into_chunks();
+        let closed = tokio::time::timeout(Duration::from_secs(2), async {
+            while let Ok(Some(_)) = chunks.next_chunk().await {}
+        })
+        .await;
+        assert!(closed.is_ok(), "{what} must disconnect a non-v2 opener");
+        drop(write_half);
+    }
+    cluster.shutdown().await;
+}
+
+/// The next frame off a raw v2 socket.
+async fn next_frame(
+    acc: &mut matrix_core::codec_v2::FrameAccumulator,
+    chunks: &mut tokio::io::Chunks,
+) -> matrix_core::codec_v2::Frame {
+    loop {
+        if let Some(item) = acc.next() {
+            return item.expect("valid frame").0;
+        }
+        let bytes = chunks.next_chunk().await.expect("read").expect("open");
+        acc.push(&bytes);
+    }
+}
+
+#[tokio::test]
+async fn padded_hello_still_handshakes_and_joins() {
+    // Some v2 clients send a newline pad after their Hello; the gateway
+    // resyncs past it and the session works as usual.
+    use matrix_core::codec_v2::{self, Frame, FrameAccumulator, FrameMeta};
+    use tokio::io::{AsyncChunkReadExt, AsyncWriteExt};
+    let cluster = RtCluster::start(RtConfig::default()).await;
+    let addr = wire::spawn_gateway(
+        "127.0.0.1:0",
+        cluster.router().clone(),
+        cluster.bootstrap_id(),
+    )
+    .await
+    .expect("bind gateway");
+    let stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
+    let (read_half, mut write_half) = stream.into_split();
+    let mut chunks = read_half.into_chunks();
+    let mut acc = FrameAccumulator::new();
+    let hello = Frame::Hello {
+        version: codec_v2::WIRE_VERSION,
     };
-    assert!(joins(&v2) >= 1, "the join is visible through the v2 query");
-    assert_eq!(joins(&v2), joins(&v1));
+    let mut opener = codec_v2::encode_frame(&hello, FrameMeta::default(), true);
+    opener.push(b'\n');
+    write_half.write_all(&opener).await.expect("send hello");
+
+    let reply = tokio::time::timeout(Duration::from_secs(2), next_frame(&mut acc, &mut chunks))
+        .await
+        .expect("hello within deadline");
+    assert!(matches!(reply, Frame::Hello { .. }), "{reply:?}");
+    let join = ClientToGame::Join {
+        pos: Point::new(60.0, 60.0),
+        state_bytes: 64,
+    };
+    write_half
+        .write_all(&codec_v2::encode_client_frame(
+            &join,
+            FrameMeta::default(),
+            true,
+        ))
+        .await
+        .expect("send join");
+    let reply = tokio::time::timeout(Duration::from_secs(2), next_frame(&mut acc, &mut chunks))
+        .await
+        .expect("join reply within deadline");
+    assert!(
+        matches!(reply, Frame::Server(GameToClient::Joined { .. })),
+        "{reply:?}"
+    );
     cluster.shutdown().await;
 }

@@ -1,48 +1,37 @@
 //! TCP gateway demo: expose an in-process Matrix cluster on a real
-//! socket and serve remote game clients speaking either wire protocol
-//! v2 (length-prefixed binary frames, `docs/WIRE.md`) or v1
-//! newline-delimited JSON — sniffed per connection.
+//! socket and serve remote game clients speaking wire protocol v2
+//! (length-prefixed binary frames, `docs/WIRE.md`).
 //!
 //! ```sh
 //! cargo run --release --example gateway_demo            # random port
 //! cargo run --release --example gateway_demo -- 4177    # fixed port
-//! cargo run --release --example gateway_demo -- --codec json   # v1-only
 //! ```
 //!
-//! Then, from any language, e.g.:
-//!
-//! ```text
-//! $ nc 127.0.0.1 4177
-//! {"t":"join","x":100.0,"y":100.0,"state":64}
-//! {"t":"joined","server":1}
-//! {"t":"action","x":100.0,"y":100.0,"bytes":32}
-//! {"t":"ack","seq":0}
-//! ```
-//!
-//! The gateway keeps each remote client pinned to whichever server the
-//! middleware redirects it to; nearby clients receive each other's
-//! events as `{"t":"batch",...}` updates.
+//! A client opens with a `Hello` frame, waits for the gateway's, then
+//! joins (`matrix_rt::wire::TcpGameClient` does this; `docs/WIRE.md`
+//! has the byte layout for other languages). A connection that opens
+//! with anything but a v2 frame is closed. The gateway keeps each
+//! remote client pinned to whichever server the middleware redirects
+//! it to; nearby clients receive each other's events as `UpdateBatch`
+//! frames.
 //!
 //! Pass `--predict` to enable the dead-reckoning pipeline (vision
 //! rings + per-ring error budgets, per-event flushes): outer-ring
-//! receivers then see velocity-tagged items
-//! (`[x,y,bytes,entity,ring,vx,vy]`) and straight-line movement is
-//! suppressed on the wire while their extrapolation stays within the
-//! ring's budget.
+//! receivers then see velocity-tagged items and straight-line movement
+//! is suppressed on the wire while their extrapolation stays within
+//! the ring's budget.
 //!
 //! Pass `--telemetry` to turn the telemetry plane on
-//! (`docs/OBSERVABILITY.md`); a live stats endpoint then answers
-//! versioned queries on a second port:
+//! (`docs/OBSERVABILITY.md`); a live stats endpoint then answers a v2
+//! `StatsQuery` frame on a second port:
 //!
 //! ```text
-//! $ nc 127.0.0.1 <stats port>
-//! {"t":"stats","v":1,"fmt":"prom"}
+//! $ printf '\xd7\x4d\x02\x8c\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\xa4\xb0\x4a\x66' | nc 127.0.0.1 <stats port>
 //! # TYPE matrix_joins counter
 //! matrix_joins{server="1"} 2
 //! ...
 //! ```
 
-use matrix_middleware::core::WireCodec;
 use matrix_middleware::rt::{wire, RtCluster, RtConfig};
 use matrix_middleware::sim::SimDuration;
 use std::time::Duration;
@@ -52,29 +41,15 @@ async fn main() {
     let mut port: u16 = 0;
     let mut predict = false;
     let mut telemetry = false;
-    let mut codec = WireCodec::BinaryV2;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--predict" => predict = true,
             "--telemetry" => telemetry = true,
-            "--codec" => {
-                codec = match args.next().as_deref() {
-                    Some("binary") => WireCodec::BinaryV2,
-                    Some("json") => WireCodec::Json,
-                    other => panic!("--codec binary|json, got {other:?}"),
-                }
-            }
-            p => {
-                port = p
-                    .parse()
-                    .expect("args: [port] [--predict] [--telemetry] [--codec binary|json]")
-            }
+            p => port = p.parse().expect("args: [port] [--predict] [--telemetry]"),
         }
     }
     let mut cfg = RtConfig::default();
     cfg.game.telemetry = telemetry;
-    cfg.game.codec = codec;
     if predict {
         cfg.game.batch_interval = SimDuration::from_millis(0);
         cfg.game.predict = true;
@@ -92,22 +67,13 @@ async fn main() {
     )
     .await
     .expect("bind gateway");
-    println!("gateway listening on {addr}");
-    match codec {
-        WireCodec::BinaryV2 => println!(
-            "binary v2 accepted (open with a Hello frame); JSON lines also work, \
-             e.g.: {{\"t\":\"join\",\"x\":100.0,\"y\":100.0,\"state\":64}}"
-        ),
-        WireCodec::Json => {
-            println!("v1 JSON only, e.g.: {{\"t\":\"join\",\"x\":100.0,\"y\":100.0,\"state\":64}}")
-        }
-    }
+    println!("gateway listening on {addr} (wire protocol v2: open with a Hello frame)");
     if telemetry {
         let stats = cluster
             .serve_stats(("127.0.0.1", 0))
             .await
             .expect("bind stats endpoint");
-        println!("stats endpoint on {stats} (query: {{\"t\":\"stats\",\"v\":1,\"fmt\":\"prom\"}})");
+        println!("stats endpoint on {stats} (query: a v2 StatsQuery frame)");
     }
 
     // Serve until interrupted.

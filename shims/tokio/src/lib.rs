@@ -20,8 +20,8 @@
 //!   block` form used in this workspace, polling branches in declaration
 //!   order (i.e. like `tokio::select! { biased; ... }`).
 //! * **TCP** — `net::TcpListener`/`TcpStream` wrap the std types;
-//!   `io::BufReader::lines` pumps a blocking reader thread into an async
-//!   channel so reads compose with `select!`.
+//!   `io::AsyncChunkReadExt::into_chunks` pumps a blocking reader thread
+//!   into an async channel so reads compose with `select!`.
 //!
 //! Swap the real tokio back in by removing this shim from the workspace;
 //! the API subset is call-compatible.
@@ -677,88 +677,12 @@ pub mod net {
 }
 
 pub mod io {
-    //! Async-flavoured line reading and writing over the TCP halves.
+    //! Async-flavoured chunk reading and writing over the TCP halves.
 
     use crate::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
     use crate::sync::mpsc;
     use std::future::{ready, Ready};
-    use std::io::{self, BufRead, Write};
-    use std::marker::PhantomData;
-
-    /// Buffered reader wrapper; `lines()` hands the underlying stream to
-    /// a pump thread feeding an async channel.
-    #[derive(Debug)]
-    pub struct BufReader<R> {
-        inner: R,
-    }
-
-    impl<R> BufReader<R> {
-        /// Wraps a reader.
-        pub fn new(inner: R) -> BufReader<R> {
-            BufReader { inner }
-        }
-    }
-
-    /// Line stream over a reader (see [`AsyncBufReadExt::lines`]).
-    #[derive(Debug)]
-    pub struct Lines<R> {
-        rx: mpsc::UnboundedReceiver<io::Result<String>>,
-        _reader: PhantomData<R>,
-    }
-
-    impl<R> Lines<R> {
-        /// The next line, without its terminator; `Ok(None)` at EOF.
-        pub async fn next_line(&mut self) -> io::Result<Option<String>> {
-            match self.rx.recv().await {
-                Some(Ok(line)) => Ok(Some(line)),
-                Some(Err(e)) => Err(e),
-                None => Ok(None),
-            }
-        }
-    }
-
-    /// Subset of tokio's `AsyncBufReadExt`: line streaming.
-    pub trait AsyncBufReadExt {
-        /// Converts the reader into a line stream.
-        fn lines(self) -> Lines<Self>
-        where
-            Self: Sized;
-    }
-
-    impl AsyncBufReadExt for BufReader<OwnedReadHalf> {
-        fn lines(self) -> Lines<Self> {
-            let (tx, rx) = mpsc::unbounded_channel();
-            let stream = self.inner.0;
-            std::thread::Builder::new()
-                .name("tokio-shim-reader".into())
-                .spawn(move || {
-                    let mut reader = std::io::BufReader::new(stream);
-                    loop {
-                        let mut line = String::new();
-                        match reader.read_line(&mut line) {
-                            Ok(0) => break,
-                            Ok(_) => {
-                                while line.ends_with('\n') || line.ends_with('\r') {
-                                    line.pop();
-                                }
-                                if tx.send(Ok(line)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                break;
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn reader thread");
-            Lines {
-                rx,
-                _reader: PhantomData,
-            }
-        }
-    }
+    use std::io::{self, Write};
 
     /// Raw byte-chunk stream over a reader (see
     /// [`AsyncChunkReadExt::into_chunks`]). Chunk boundaries are
@@ -781,8 +705,8 @@ pub mod io {
     }
 
     /// Byte-chunk streaming for framing-agnostic protocols (the binary
-    /// wire codec delimits its own frames), mirroring the [`Lines`]
-    /// pump-thread pattern.
+    /// wire codec delimits its own frames): a pump thread feeds an async
+    /// channel.
     pub trait AsyncChunkReadExt {
         /// Converts the reader into a chunk stream.
         fn into_chunks(self) -> Chunks;

@@ -1,15 +1,13 @@
-//! Differential property tests of wire protocol v2 (`docs/WIRE.md`):
-//! for every frame type, the binary round-trip is the identity, and it
-//! agrees with the v1 JSON codec's round-trip on the same message — so
-//! the two codecs can never drift apart semantically. Also pins the
-//! interest layer's `WIRE_BYTES` constants to the *measured* encoded
-//! lengths of the corresponding binary items.
+//! Property tests of wire protocol v2 (`docs/WIRE.md`): for every frame
+//! type, the round-trip of random messages is the identity, header
+//! metadata included. Also pins the interest layer's `WIRE_BYTES`
+//! constants to the *measured* encoded lengths of the corresponding
+//! items.
 //!
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible) instead of an external
 //! property-testing framework, keeping the build offline-friendly.
 
-use matrix_middleware::core::codec;
 use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
     BatchItem, ClientId, ClientToGame, DeltaItem, GameToClient, LoadReport, RegionSnapshot,
@@ -23,12 +21,6 @@ use matrix_middleware::sim::{SimRng, SimTime};
 use matrix_middleware::telemetry::{HistSnapshot, TelemetrySnapshot};
 
 const CASES: usize = 64;
-
-/// The v1 JSON codec routes all numbers through `f64`, so integers are
-/// exact only up to 2^53 (a documented v1 limitation — see
-/// `docs/WIRE.md`). Differential cases stay inside that range; the
-/// binary-only test below covers full-width `u64`.
-const JSON_SAFE_INT: u64 = 1 << 53;
 
 /// A coordinate on the v2 codec's 1/256 lattice (canonical narrow
 /// encoding); the wide-escape path is exercised by `raw_point`.
@@ -60,7 +52,7 @@ fn entity(rng: &mut SimRng) -> u64 {
     match rng.uniform_u64(0, 4) {
         0 => 0,
         1 => rng.uniform_u64(1, 1 << 24),
-        2 => rng.uniform_u64(1 << 24, JSON_SAFE_INT),
+        2 => rng.uniform_u64(1 << 24, u64::MAX),
         _ => rng.uniform_u64(1, 500),
     }
 }
@@ -74,7 +66,7 @@ fn payload(rng: &mut SimRng) -> usize {
     }
 }
 
-/// A velocity pair — `(0, 0)` means "absent" in both codecs, so the
+/// A velocity pair — `(0, 0)` means "absent" on the wire, so the
 /// generator covers present and absent explicitly.
 fn velocity(rng: &mut SimRng) -> (f64, f64) {
     if rng.chance(0.4) {
@@ -92,7 +84,7 @@ fn ring(rng: &mut SimRng) -> u8 {
 
 /// A causal trace tag — absent most of the time (sampling is sparse by
 /// design), charged (`stale_us > 0`) sometimes, so both the plain and
-/// the suppression-charged shapes round-trip through both codecs.
+/// the suppression-charged shapes round-trip.
 fn trace(rng: &mut SimRng) -> Option<matrix_middleware::telemetry::TraceTag> {
     if rng.chance(0.7) {
         return None;
@@ -166,7 +158,7 @@ fn server_msg(rng: &mut SimRng) -> GameToClient {
             server: ServerId(rng.uniform_u64(1, 1 << 20) as u32),
         },
         1 => GameToClient::Ack {
-            seq: rng.uniform_u64(0, JSON_SAFE_INT),
+            seq: rng.uniform_u64(0, u64::MAX),
         },
         2 => GameToClient::Update {
             origin: any_point(rng),
@@ -220,7 +212,7 @@ fn snapshot(rng: &mut SimRng) -> RegionSnapshot {
         },
         radius: rng.uniform(0.0, 500.0),
         ready: rng.chance(0.5),
-        seq: rng.uniform_u64(0, JSON_SAFE_INT),
+        seq: rng.uniform_u64(0, u64::MAX),
         last_flush: SimTime::from_micros(rng.uniform_u64(0, 1 << 50)),
         tuner: if rng.chance(0.5) {
             Some(TunerState {
@@ -317,7 +309,7 @@ fn replica_batch(rng: &mut SimRng) -> ReplicaBatch {
         )
     };
     ReplicaBatch {
-        seq: rng.uniform_u64(0, JSON_SAFE_INT),
+        seq: rng.uniform_u64(0, u64::MAX),
         payload,
     }
 }
@@ -364,35 +356,29 @@ fn assert_binary_roundtrip(case: usize, frame: &Frame, m: FrameMeta, crc: bool) 
 }
 
 #[test]
-fn client_frames_agree_across_codecs() {
+fn client_frames_round_trip() {
     let mut rng = SimRng::seed_from_u64(0xC0DE_C001);
     for case in 0..CASES {
         let msg = client_msg(&mut rng);
         let m = meta(&mut rng);
         let crc = rng.chance(0.5);
-        assert_binary_roundtrip(case, &Frame::Client(msg.clone()), m, crc);
-        let json = codec::decode_client_to_game(&codec::encode_client_to_game(&msg))
-            .expect("v1 round-trip");
-        assert_eq!(json, msg, "case {case}: the v1 codec disagrees");
+        assert_binary_roundtrip(case, &Frame::Client(msg), m, crc);
     }
 }
 
 #[test]
-fn server_frames_agree_across_codecs() {
+fn server_frames_round_trip() {
     let mut rng = SimRng::seed_from_u64(0xC0DE_C002);
     for case in 0..CASES {
         let msg = server_msg(&mut rng);
         let m = meta(&mut rng);
         let crc = rng.chance(0.5);
-        assert_binary_roundtrip(case, &Frame::Server(msg.clone()), m, crc);
-        let json = codec::decode_game_to_client(&codec::encode_game_to_client(&msg))
-            .expect("v1 round-trip");
-        assert_eq!(json, msg, "case {case}: the v1 codec disagrees");
+        assert_binary_roundtrip(case, &Frame::Server(msg), m, crc);
     }
 }
 
 #[test]
-fn every_batch_item_shape_survives_both_codecs() {
+fn every_batch_item_shape_round_trips() {
     // The full optional-field matrix, deliberately: absolute and delta
     // items, entity/ring/velocity present and absent, narrow lattice
     // and wide-escape encodings — one batch per cell combination.
@@ -401,57 +387,30 @@ fn every_batch_item_shape_survives_both_codecs() {
         let updates: Vec<BatchItem> = (0..rng.uniform_u64(1, 8))
             .map(|_| batch_item(&mut rng))
             .collect();
-        let msg = GameToClient::UpdateBatch {
-            updates: updates.clone(),
-        };
-        assert_binary_roundtrip(case, &Frame::Server(msg.clone()), meta(&mut rng), true);
-        let json = codec::decode_game_to_client(&codec::encode_game_to_client(&msg))
-            .expect("v1 round-trip");
-        assert_eq!(
-            json, msg,
-            "case {case}: the v1 codec disagrees on {updates:?}"
-        );
+        let msg = GameToClient::UpdateBatch { updates };
+        assert_binary_roundtrip(case, &Frame::Server(msg), meta(&mut rng), true);
     }
 }
 
 #[test]
-fn replica_frames_agree_across_codecs() {
+fn replica_frames_round_trip() {
     let mut rng = SimRng::seed_from_u64(0xC0DE_C004);
     for case in 0..CASES {
         let batch = replica_batch(&mut rng);
         let m = meta(&mut rng);
-        assert_binary_roundtrip(
-            case,
-            &Frame::Replica(Box::new(batch.clone())),
-            m,
-            rng.chance(0.5),
-        );
-        let json = codec::decode_replica_batch(&codec::encode_replica_batch(&batch))
-            .expect("v1 round-trip");
-        assert_eq!(json, batch, "case {case}: the v1 codec disagrees");
-
-        let (seq, resync) = (rng.uniform_u64(0, JSON_SAFE_INT), rng.chance(0.5));
+        assert_binary_roundtrip(case, &Frame::Replica(Box::new(batch)), m, rng.chance(0.5));
+        let (seq, resync) = (rng.uniform_u64(0, u64::MAX), rng.chance(0.5));
         assert_binary_roundtrip(case, &Frame::ReplicaAck { seq, resync }, m, true);
-        assert_eq!(
-            codec::decode_replica_ack(&codec::encode_replica_ack(seq, resync))
-                .expect("v1 round-trip"),
-            (seq, resync),
-            "case {case}"
-        );
     }
 }
 
 #[test]
-fn stats_and_load_frames_agree_across_codecs() {
-    use matrix_middleware::core::codec::StatsFormat;
+fn stats_and_load_frames_round_trip() {
+    use matrix_middleware::core::codec_v2::StatsFormat;
     let mut rng = SimRng::seed_from_u64(0xC0DE_C005);
     for case in 0..CASES {
-        for fmt in [StatsFormat::Json, StatsFormat::Prom] {
+        for fmt in [StatsFormat::Binary, StatsFormat::Prom] {
             assert_binary_roundtrip(case, &Frame::StatsQuery(fmt), meta(&mut rng), true);
-            assert_eq!(
-                codec::decode_stats_query(&codec::encode_stats_query(fmt)).expect("v1"),
-                fmt
-            );
         }
 
         let nodes: Vec<(ServerId, TelemetrySnapshot)> = (0..rng.uniform_u64(0, 4))
@@ -459,31 +418,23 @@ fn stats_and_load_frames_agree_across_codecs() {
             .collect();
         assert_binary_roundtrip(
             case,
-            &Frame::StatsReply(nodes.clone()),
+            &Frame::StatsReply(nodes),
             meta(&mut rng),
             rng.chance(0.5),
         );
-        let json =
-            codec::decode_stats_reply(&codec::encode_stats_reply(&nodes)).expect("v1 round-trip");
-        assert_eq!(json, nodes, "case {case}: the v1 codec disagrees");
 
         let report = load_report(&mut rng);
         assert_binary_roundtrip(
             case,
-            &Frame::Load(Box::new(report.clone())),
+            &Frame::Load(Box::new(report)),
             meta(&mut rng),
             rng.chance(0.5),
         );
-        let json =
-            codec::decode_load_report(&codec::encode_load_report(&report)).expect("v1 round-trip");
-        assert_eq!(json, report, "case {case}: the v1 codec disagrees");
     }
 }
 
 #[test]
 fn hello_frames_roundtrip() {
-    // Hello is v2-only (its absence *is* the v1 signal), so no
-    // differential arm — just identity and metadata.
     let mut rng = SimRng::seed_from_u64(0xC0DE_C006);
     for case in 0..CASES {
         let frame = Frame::Hello {
@@ -605,9 +556,8 @@ fn wire_bytes_constants_match_measured_frames() {
     );
 }
 
-/// Full-width integers are exactly what v1 JSON *cannot* carry (its
-/// numbers ride `f64`, exact only to 2^53); the binary codec must carry
-/// them bit-for-bit.
+/// Integers at the very top of their range must ride the codec
+/// bit-for-bit.
 #[test]
 fn full_u64_values_survive_the_binary_codec() {
     let frames = [

@@ -628,14 +628,15 @@ fn delta_node_streams_reconstruct_absolute_node_streams() {
 /// `GameServerNode` must emit byte-for-byte the wire frames the
 /// pre-refactor hand-wired flush path produced: same receivers, same
 /// batch boundaries, same item order, same keyframe/delta decisions,
-/// same encoded JSON. The reference below *is* that pre-refactor path —
+/// same encoded v2 frames. The reference below *is* that pre-refactor path —
 /// `InterestGrid` + `UpdateBatcher` + `FlushPolicy` + `DeltaEncoder`
 /// glued together exactly as `GameServerNode::flush_updates` wired them
 /// before the `DisseminationPipeline` existed.
 #[test]
 fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
+    use matrix_middleware::core::codec_v2::{encode_server_frame, FrameMeta};
     use matrix_middleware::core::{
-        codec, quantize, BatchItem, ClientId, ClientToGame, DeltaEncoder, DeltaItem, FlushPolicy,
+        quantize, BatchItem, ClientId, ClientToGame, DeltaEncoder, DeltaItem, FlushPolicy,
         GameAction, GameServerConfig, GameServerNode, GameToClient, ServerId, UpdateBatcher,
         UpdateItem,
     };
@@ -906,15 +907,16 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
             for ((nc, nb), (rc, rb)) in node_batches.iter().zip(&ref_batches) {
                 assert_eq!(nc, rc, "case {case} step {step}: receiver order");
                 // Byte-identical on the actual wire: compare the encoded
-                // JSON frames, not just the structs.
-                let node_line = codec::encode_game_to_client(&GameToClient::UpdateBatch {
-                    updates: nb.clone(),
-                });
-                let ref_line = codec::encode_game_to_client(&GameToClient::UpdateBatch {
-                    updates: rb.clone(),
-                });
+                // frames, not just the structs.
+                let frame = |updates: &Vec<BatchItem>| {
+                    let msg = GameToClient::UpdateBatch {
+                        updates: updates.clone(),
+                    };
+                    encode_server_frame(&msg, FrameMeta::default(), true)
+                };
                 assert_eq!(
-                    node_line, ref_line,
+                    frame(nb),
+                    frame(rb),
                     "case {case} step {step} {nc:?}: wire bytes diverged"
                 );
             }
@@ -936,8 +938,9 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
 /// behaviour knob.
 #[test]
 fn flush_worker_count_is_wire_invariant() {
+    use matrix_middleware::core::codec_v2::{encode_server_frame, FrameMeta};
     use matrix_middleware::core::{
-        codec, ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, GameToClient,
+        ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, GameToClient,
         ServerId,
     };
     use matrix_middleware::sim::{SimDuration, SimTime};
@@ -956,7 +959,7 @@ fn flush_worker_count_is_wire_invariant() {
         world: Rect,
         radius: f64,
         script: &[Step],
-    ) -> Vec<(ClientId, String)> {
+    ) -> Vec<(ClientId, Vec<u8>)> {
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
         if parallel {
             node = node.with_parallel_flush();
@@ -966,7 +969,7 @@ fn flush_worker_count_is_wire_invariant() {
         let mut collect = |actions: Vec<GameAction>| {
             for a in actions {
                 if let GameAction::ToClient(cid, msg @ GameToClient::UpdateBatch { .. }) = a {
-                    frames.push((cid, codec::encode_game_to_client(&msg)));
+                    frames.push((cid, encode_server_frame(&msg, FrameMeta::default(), true)));
                 }
             }
         };

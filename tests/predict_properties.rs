@@ -16,22 +16,22 @@
 //! the — identical — simulation stayed within budget).
 //!
 //! **Velocity codec round-trips**: velocity-tagged batch items survive
-//! encode/decode exactly, velocity-free items encode byte-identically
-//! to the pre-prediction grammar, and legacy (pre-velocity) frames
-//! still decode.
+//! encode/decode exactly, and an item's velocity bit (item header bit 3)
+//! is set exactly when it carries a velocity pair.
 //!
 //! **Byte-identical when off**: with `predict` off, a ringed node's
-//! wire frames stay inside the PR 4 grammar — no velocity elements, no
-//! suppression — so switching the feature off really does restore the
-//! previous deployment's bytes. (The untiered half of this pin lives in
+//! wire frames stay inside the PR 4 grammar — no item sets the velocity
+//! bit, nothing is suppressed — so switching the feature off really
+//! does restore the previous deployment's bytes. (The untiered half of this pin lives in
 //! `tests/interest_properties.rs`:
 //! `pipeline_is_byte_identical_to_the_hand_wired_flush_path`.)
 //!
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible).
 
+use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    codec, quantize, reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameAction,
+    quantize, reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameAction,
     GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
 };
 use matrix_middleware::geometry::{Point, Rect};
@@ -39,23 +39,36 @@ use matrix_middleware::predict::{extrapolate, Admission, PredictedStream};
 use matrix_middleware::sim::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 
-/// Splits an encoded `{"t":"batch",...}` line into its per-item array
-/// bodies, so grammar checks can count elements per item. An absolute
-/// item has 3–5 elements (2–4 commas), a delta 4–6 (3–5 commas); only a
-/// velocity pair pushes an item to 6+ commas.
-fn item_chunks(line: &str) -> Vec<&str> {
-    let inner = line
-        .strip_prefix("{\"t\":\"batch\",\"updates\":[")
-        .and_then(|s| s.strip_suffix("]}"))
-        .expect("batch frame shape");
-    if inner.is_empty() {
-        return Vec::new();
+/// Velocity bit of a v2 batch-item header byte (`docs/WIRE.md`).
+const ITEM_VEL: u8 = 0x08;
+
+/// Walks an encoded, untraced `UpdateBatch` frame and returns each
+/// item's header byte, using the item layout in `docs/WIRE.md`.
+fn item_headers(frame: &[u8]) -> Vec<u8> {
+    use matrix_middleware::core::codec_v2::{CRC_BYTES, HEADER_BYTES};
+    assert_eq!(frame[3] & 0x40, 0, "trace section not expected");
+    let end = frame.len() - if frame[3] & 0x80 != 0 { CRC_BYTES } else { 0 };
+    let mut at = HEADER_BYTES;
+    let mut headers = Vec::new();
+    while at < end {
+        let h = frame[at];
+        headers.push(h);
+        let entity = if h & 0x10 != 0 { 8 } else { 3 };
+        let len = if h & 0x80 != 0 { 8 } else { 2 };
+        let coords = if h & 0x01 == 0 || h & 0x20 != 0 {
+            16
+        } else {
+            6
+        };
+        let vel = match (h & ITEM_VEL != 0, h & 0x40 != 0) {
+            (false, _) => 0,
+            (true, false) => 6,
+            (true, true) => 16,
+        };
+        at += 1 + entity + len + coords + vel;
     }
-    inner
-        .trim_start_matches('[')
-        .trim_end_matches(']')
-        .split("],[")
-        .collect()
+    assert_eq!(at, end, "items must tile the frame body");
+    headers
 }
 
 // ---------------------------------------------------------------------------
@@ -236,10 +249,10 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
 // Velocity codec
 // ---------------------------------------------------------------------------
 
-/// Random velocity-tagged batches round-trip exactly; velocity-free
-/// items stay inside the pre-prediction grammar; legacy frames decode.
+/// Random velocity-tagged batches round-trip exactly, and each item's
+/// velocity bit is set exactly when it carries a velocity pair.
 #[test]
-fn velocity_fields_round_trip_and_legacy_frames_decode() {
+fn velocity_fields_round_trip_and_set_the_item_velocity_bit() {
     use matrix_middleware::core::{BatchItem, DeltaItem, UpdateItem};
     let mut rng = SimRng::seed_from_u64(0x7E10C17);
     for case in 0..200 {
@@ -277,40 +290,22 @@ fn velocity_fields_round_trip_and_legacy_frames_decode() {
         let msg = GameToClient::UpdateBatch {
             updates: updates.clone(),
         };
-        let line = codec::encode_game_to_client(&msg);
-        let decoded = codec::decode_game_to_client(&line)
-            .unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
-        assert_eq!(decoded, msg, "case {case}: {line}");
-        // Velocity-free items never grow the item arrays beyond the
-        // PR 4 grammar (≤ 5 elements absolute, ≤ 6 delta); a velocity
-        // pair always shows up as a 7/8-element item.
-        let max_commas = item_chunks(&line)
-            .iter()
-            .map(|c| c.matches(',').count())
-            .max()
-            .unwrap_or(0);
-        if updates.iter().all(|u| !u.has_velocity()) {
-            assert!(
-                max_commas <= 5,
-                "case {case}: velocity-free frame outside the legacy grammar: {line}"
-            );
-        } else {
-            assert!(
-                max_commas >= 6,
-                "case {case}: a velocity pair must be visible on the wire: {line}"
+        let bytes = codec_v2::encode_server_frame(&msg, FrameMeta::default(), true);
+        match codec_v2::decode_frame(&bytes) {
+            Ok(FrameStatus::Complete {
+                frame: Frame::Server(decoded),
+                ..
+            }) => assert_eq!(decoded, msg, "case {case}"),
+            other => panic!("case {case}: {other:?}"),
+        }
+        for (u, h) in updates.iter().zip(item_headers(&bytes)) {
+            assert_eq!(
+                h & ITEM_VEL != 0,
+                u.has_velocity(),
+                "case {case}: velocity bit must match {u:?}"
             );
         }
     }
-    // Pre-velocity (and pre-entity/ring) frames still decode as
-    // velocity-free items.
-    let legacy = codec::decode_game_to_client(
-        "{\"t\":\"batch\",\"updates\":[[1.0,2.0,8],[\"d\",0.5,0.5,4,9,2]]}",
-    )
-    .unwrap();
-    let GameToClient::UpdateBatch { updates } = legacy else {
-        panic!("expected a batch");
-    };
-    assert!(updates.iter().all(|u| !u.has_velocity()));
 }
 
 // ---------------------------------------------------------------------------
@@ -374,13 +369,11 @@ fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
                     updates.iter().all(|u| !u.has_velocity()),
                     "case {case}: velocity leaked onto a predict-off wire"
                 );
-                let line = codec::encode_game_to_client(&msg);
-                for item in item_chunks(&line) {
-                    assert!(
-                        item.matches(',').count() <= 5,
-                        "case {case}: frame outside the PR 4 grammar: {line}"
-                    );
-                }
+                let bytes = codec_v2::encode_server_frame(&msg, FrameMeta::default(), true);
+                assert!(
+                    item_headers(&bytes).iter().all(|h| h & ITEM_VEL == 0),
+                    "case {case}: velocity bit set on a predict-off wire"
+                );
             }
         }
         assert_eq!(node.stats().updates_suppressed, 0, "case {case}");

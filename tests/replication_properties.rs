@@ -26,9 +26,10 @@
 //! Randomization is driven by the workspace's own seeded [`SimRng`]
 //! (fixed seeds, so failures are reproducible).
 
-use matrix_middleware::core::codec;
+use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, ReplicaOp,
+    ClientId, ClientToGame, GameAction, GameServerConfig, GameServerNode, ReplicaBatch, ReplicaOp,
+    ReplicaPayload,
 };
 use matrix_middleware::geometry::{Point, Rect, ServerId};
 use matrix_middleware::replication::{ReplicaLog, ReplicaReceiver};
@@ -181,11 +182,22 @@ fn snapshot_survives_the_versioned_wire_format() {
     for case in 0..25 {
         let mut g = node(1);
         let mut population = random_drive(&mut g, &mut rng, 100);
-        let snap = g.snapshot();
-        let line = codec::encode_region_snapshot(&snap);
-        let decoded = codec::decode_region_snapshot(&line)
-            .unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
-        assert_eq!(decoded, snap, "case {case}: codec must be transparent");
+        let batch = ReplicaBatch {
+            seq: case as u64,
+            payload: ReplicaPayload::Full(g.snapshot()),
+        };
+        let bytes = codec_v2::encode_replica_batch_frame(&batch, FrameMeta::default(), true);
+        let decoded = match codec_v2::decode_frame(&bytes) {
+            Ok(FrameStatus::Complete {
+                frame: Frame::Replica(got),
+                ..
+            }) => *got,
+            other => panic!("case {case}: expected a replica frame, got {other:?}"),
+        };
+        assert_eq!(decoded, batch, "case {case}: codec must be transparent");
+        let ReplicaPayload::Full(decoded) = decoded.payload else {
+            unreachable!("a full snapshot went in");
+        };
         let mut restored =
             GameServerNode::new(ServerId(1), GameServerConfig::default()).with_fanout();
         restored.restore(decoded);

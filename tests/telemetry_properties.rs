@@ -6,9 +6,8 @@
 //! (fixed seeds, so failures are reproducible) instead of an external
 //! property-testing framework, keeping the build offline-friendly.
 
-use matrix_middleware::core::codec::{
-    decode_client_to_game, decode_stats_reply, encode_client_to_game, encode_stats_query,
-    encode_stats_reply, StatsFormat,
+use matrix_middleware::core::codec_v2::{
+    decode_frame, encode_frame, Frame, FrameMeta, FrameStatus,
 };
 use matrix_middleware::core::{
     ClientId, ClientToGame, EventKind, FlightRecorder, GameServerConfig, GameServerNode,
@@ -163,8 +162,18 @@ fn stats_reply_round_trips_random_snapshots() {
         let nodes: Vec<(ServerId, TelemetrySnapshot)> = (0..rng.uniform_u64(0, 5))
             .map(|i| (ServerId(i as u32 + 1), random_snapshot(&mut rng)))
             .collect();
-        let line = encode_stats_reply(&nodes);
-        let back = decode_stats_reply(&line).expect("round trip");
+        let bytes = encode_frame(
+            &Frame::StatsReply(nodes.clone()),
+            FrameMeta::default(),
+            true,
+        );
+        let back = match decode_frame(&bytes) {
+            Ok(FrameStatus::Complete {
+                frame: Frame::StatsReply(back),
+                ..
+            }) => back,
+            other => panic!("case {case}: expected a stats reply, got {other:?}"),
+        };
         assert_eq!(back.len(), nodes.len(), "case {case}");
         for ((sid, snap), (bid, bsnap)) in nodes.iter().zip(&back) {
             assert_eq!(sid, bid, "case {case}");
@@ -182,42 +191,6 @@ fn stats_reply_round_trips_random_snapshots() {
                 assert_eq!(orig.quantile(0.99), dec.quantile(0.99), "case {case}");
             }
         }
-    }
-}
-
-/// The stats frames are additive: the legacy client codec still
-/// round-trips every message bit-for-bit, and neither codec accepts the
-/// other's frames.
-#[test]
-fn legacy_frames_are_unaffected_by_stats_frames() {
-    let mut rng = SimRng::seed_from_u64(0x1E64C7);
-    for case in 0..CASES {
-        let msg = match rng.uniform_u64(0, 4) {
-            0 => ClientToGame::Join {
-                pos: Point::new(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-                state_bytes: rng.uniform_u64(0, 1 << 20),
-            },
-            1 => ClientToGame::Move {
-                pos: Point::new(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-            },
-            2 => ClientToGame::Action {
-                pos: Point::new(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-                payload_bytes: rng.uniform_u64(0, 4096) as usize,
-            },
-            _ => ClientToGame::Leave,
-        };
-        let line = encode_client_to_game(&msg);
-        assert_eq!(
-            decode_client_to_game(&line).expect("legacy round trip"),
-            msg,
-            "case {case}"
-        );
-        // Cross-type isolation: a stats query is not a client frame.
-        assert!(
-            decode_client_to_game(&encode_stats_query(StatsFormat::Json)).is_err(),
-            "case {case}"
-        );
-        assert!(decode_stats_reply(&line).is_err(), "case {case}");
     }
 }
 
