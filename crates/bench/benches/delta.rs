@@ -42,7 +42,10 @@
 //! comparison prints before the timing groups.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use matrix_core::{ClientId, ClientToGame, GameServerConfig, GameServerNode, GameStats, ServerId};
+use matrix_core::{
+    ClientId, ClientToGame, DisseminationConfig, GameServerConfig, GameServerNode, GameStats,
+    ServerId,
+};
 use matrix_geometry::{Point, Rect};
 use matrix_sim::{SimDuration, SimRng, SimTime};
 
@@ -97,39 +100,21 @@ fn movement_trace(positions: &[Point], rng: &mut SimRng) -> Vec<Vec<(u64, Point)
 
 /// The three dissemination configurations under test.
 fn configs() -> [(&'static str, GameServerConfig); 3] {
-    let base = GameServerConfig {
+    let with = |keyframe_every, max_updates_per_flush| GameServerConfig {
         emit_updates: true,
         batch_interval: SimDuration::from_millis(50),
+        dissemination: DisseminationConfig {
+            keyframe_every,
+            max_updates_per_flush,
+            client_budget_bytes: 0,
+            ..DisseminationConfig::default()
+        },
         ..GameServerConfig::default()
     };
     [
-        (
-            "absolute",
-            GameServerConfig {
-                keyframe_every: 0,
-                max_updates_per_flush: 0,
-                client_budget_bytes: 0,
-                ..base
-            },
-        ),
-        (
-            "delta",
-            GameServerConfig {
-                keyframe_every: 8,
-                max_updates_per_flush: 0,
-                client_budget_bytes: 0,
-                ..base
-            },
-        ),
-        (
-            "pipeline",
-            GameServerConfig {
-                keyframe_every: 8,
-                max_updates_per_flush: 64,
-                client_budget_bytes: 0,
-                ..base
-            },
-        ),
+        ("absolute", with(0, 0)),
+        ("delta", with(8, 0)),
+        ("pipeline", with(8, 64)),
     ]
 }
 

@@ -36,7 +36,7 @@
 //! ~65 ns regardless of n.
 //!
 //! PR 4 adds `interest_grid_autotuned`: the same query on a grid sized
-//! by the density tuner's steady state (`AutoTunerConfig::cells_for`)
+//! by the density tuner's steady state (`AutoTuner::cells_for`)
 //! instead of the static 32. Recorded on the PR-4 machine (ns/iter,
 //! hotspot): 195 → 111 at n=100 and 289 → 171 at n=500 (the tuner
 //! coarsens a sparse grid, cutting empty-cell walks ~1.7×), converging
@@ -53,8 +53,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use matrix_core::UpdateItem;
 use matrix_geometry::{Metric, Point, Rect};
 use matrix_interest::{
-    AutoTunerConfig, DisseminationPipeline, FlushPolicy, InterestGrid, PipelineConfig,
-    PredictorConfig, RingSet,
+    AutoTuner, DisseminationConfig, DisseminationPipeline, InterestGrid, PipelineConfig,
 };
 use matrix_sim::SimRng;
 use std::collections::BTreeMap;
@@ -187,10 +186,10 @@ fn bench_fanout(c: &mut Criterion) {
 
             // The same query on a grid whose resolution the density
             // auto-tuner would steady-state at for this population
-            // (`AutoTunerConfig::cells_for`), instead of the static 32:
+            // (`AutoTuner::cells_for`), instead of the static 32:
             // coarser for sparse crowds (fewer empty-cell walks), finer
             // for dense ones (fewer candidates per cell).
-            let tuned_cells = AutoTunerConfig::enabled().cells_for(n);
+            let tuned_cells = AutoTuner::cells_for(n);
             let mut tuned: InterestGrid<u32> = InterestGrid::new(world(), tuned_cells);
             for (k, p) in positions.iter().enumerate() {
                 tuned.insert(k as u32, *p);
@@ -260,22 +259,20 @@ const OVERHEAD_CEIL: f64 = 3.0;
 /// by design), then time `flush` — the sharded stages 4–5. Returns the
 /// accumulated flush wall time and the total items flushed.
 fn run_flush_round(workers: u32, positions: &[Point]) -> (Duration, u64) {
-    let rings = RingSet::from_tiers(&[40.0, 80.0, 150.0], &[1, 2, 4]);
+    let knobs = DisseminationConfig {
+        cells_per_axis: CELLS_PER_AXIS,
+        max_updates_per_flush: 32,
+        position_only_ring: 2,
+        ..DisseminationConfig::default()
+    }
+    .with_rings(&[40.0, 80.0, 150.0], &[1, 2, 4]);
     let cfg = PipelineConfig {
         metric: Metric::Euclidean,
-        policy: FlushPolicy {
-            max_items: 32,
-            ..FlushPolicy::unlimited()
-        },
-        keyframe_every: 8,
         origin_quantum: 0.0,
-        autotune: AutoTunerConfig::default(),
-        predict: PredictorConfig::default(),
-        position_only_ring: 2,
         telemetry: false,
     };
     let mut p: DisseminationPipeline<u64, UpdateItem> =
-        DisseminationPipeline::new(world(), CELLS_PER_AXIS, rings, cfg).with_shards(workers);
+        DisseminationPipeline::new(world(), knobs, cfg).with_shards(workers);
     p.set_parallel_flush(workers > 1);
     for (k, pos) in positions.iter().enumerate() {
         p.subscribe(k as u64, *pos);

@@ -44,7 +44,10 @@
 //! comparison prints before the timing group.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use matrix_core::{ClientId, ClientToGame, GameServerConfig, GameServerNode, GameStats, ServerId};
+use matrix_core::{
+    ClientId, ClientToGame, DisseminationConfig, GameServerConfig, GameServerNode, GameStats,
+    ServerId,
+};
 use matrix_games::GameSpec;
 use matrix_geometry::{Point, Rect};
 use matrix_sim::{SimDuration, SimRng, SimTime};
@@ -102,21 +105,25 @@ fn movement_trace(rng: &mut SimRng) -> (Vec<Point>, Vec<Vec<(u64, Point)>>) {
 /// The three dissemination configurations under test.
 fn configs() -> [(&'static str, GameServerConfig); 3] {
     let spec = GameSpec::racer();
-    let base = GameServerConfig {
-        emit_updates: true,
-        batch_interval: SimDuration::from_millis(0),
+    let uncapped = DisseminationConfig {
         max_updates_per_flush: 0,
         client_budget_bytes: 0,
-        vision_radius: spec.vision_radius,
-        ..GameServerConfig::default()
+        ..spec.dissemination
     };
     let (radii, rates) = spec.ring_tiers();
-    let mut rings = base;
-    rings.set_rings(&radii, &rates);
-    let mut predict = base;
-    predict.set_rings(&radii, &vec![1; radii.len()]);
-    predict.set_error_budgets(&spec.recommended_error_budgets());
-    predict.predict = true;
+    let with = |dissemination| GameServerConfig {
+        dissemination,
+        emit_updates: true,
+        batch_interval: SimDuration::from_millis(0),
+        ..GameServerConfig::default()
+    };
+    let base = with(uncapped);
+    let rings = with(uncapped.with_rings(&radii, &rates));
+    let predict = with(
+        uncapped
+            .with_rings(&radii, &[])
+            .with_predict(&spec.recommended_error_budgets()),
+    );
     [("binary", base), ("rings", rings), ("predict", predict)]
 }
 

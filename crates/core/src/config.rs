@@ -1,6 +1,7 @@
 //! Tunable parameters for the middleware components.
 
 use matrix_geometry::{Metric, SplitStrategy};
+use matrix_interest::DisseminationConfig;
 use matrix_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -122,85 +123,17 @@ pub struct GameServerConfig {
     pub handoff_margin: f64,
     /// Metric for in-game distances.
     pub metric: Metric,
-    /// Per-client area-of-interest radius for update fan-out. `0.0`
-    /// inherits the game's registered radius of visibility. Distinct from
-    /// the consistency-set radius: routing between servers must stay
-    /// conservative, but what each *client* renders can be narrower.
-    pub vision_radius: f64,
+    /// The per-game dissemination knobs: area of interest, grid,
+    /// per-flush caps, delta keyframes and dead reckoning.
+    pub dissemination: DisseminationConfig,
     /// How long client-bound updates may coalesce before a
     /// `GameToClient::UpdateBatch` flush. Zero flushes on every event
     /// (one-item batches).
     pub batch_interval: SimDuration,
-    /// Resolution of the interest grid: cells along each axis of the
-    /// server's range. Larger values cut per-query candidates but raise
-    /// per-move bookkeeping slightly. With `grid_autotune` on this is
-    /// only the starting point — the tuner re-picks it from observed
-    /// client density.
-    pub cells_per_axis: u32,
-    /// Concentric vision-ring boundaries (world units, ascending; `0.0`
-    /// entries unused). When any radius is set, the rings *replace* the
-    /// binary `vision_radius`: the outermost ring is the effective
-    /// area-of-interest radius and each receiver is graded into the
-    /// innermost ring containing its distance to the event. All zero
-    /// (the default) keeps the single binary radius.
-    pub ring_radii: [f64; matrix_interest::MAX_RINGS],
-    /// Per-ring sampling rates parallel to `ring_radii`: a receiver in
-    /// ring *i* gets every `ring_sample_rates[i]`-th event (1 = every
-    /// event). The innermost ring is always delivered in full — near
-    /// means every event — regardless of this entry.
-    pub ring_sample_rates: [u32; matrix_interest::MAX_RINGS],
-    /// Density-driven grid resolution auto-tuning: re-pick
-    /// `cells_per_axis` from the observed client count (ratio
-    /// hysteresis + observation streak guard against thrash; the tuned
-    /// value replicates to warm standbys inside region snapshots).
-    pub grid_autotune: bool,
-    /// Dead-reckoning suppression (predictive dissemination): model
-    /// each entity's velocity, ship it on batch items, and *suppress*
-    /// updates for receivers whose extrapolation stays within the
-    /// per-ring `error_budgets`. Off (the default) keeps the wire
-    /// byte-identical to the prediction-free pipeline.
-    pub predict: bool,
-    /// Per-ring receiver error budgets in world units, parallel to
-    /// `ring_radii` (`0.0` = never suppress in that ring). The near
-    /// ring is pinned to `0.0` regardless — near means every event,
-    /// preserving the rings' delivery guarantee. Only meaningful with
-    /// `predict` on.
-    pub error_budgets: [f64; matrix_interest::MAX_RINGS],
-    /// Sliding-window length (observations) of the per-entity velocity
-    /// estimator feeding prediction; clamped to ≥ 2.
-    pub motion_window: u32,
-    /// Fixed-point lattice shipped dead-reckoning velocities snap to,
-    /// in world units per second (`0.0` = the origin lattice).
-    /// Velocities tolerate a far coarser lattice than origins — the
-    /// quantization drift over a basis lifetime stays well inside any
-    /// usable ring budget. Keep it a power-of-two multiple of
-    /// `origin_quantum` so the codec's fixed-point velocity field
-    /// carries the snapped value exactly.
-    pub velocity_quantum: f64,
-    /// Ring index from which batch items ship position-only (payload
-    /// stripped, origin and velocity kept); `0` disables payload
-    /// degradation. A far-ring entity's whereabouts matter for
-    /// rendering, its full state rarely does.
-    pub position_only_ring: u8,
     /// Whether client-bound update fan-out is emitted as real messages
     /// (true under the runtime, where clients are live connections) or
     /// only counted (discrete-event runs that model fan-out as load).
     pub emit_updates: bool,
-    /// Per-client cap on items per `UpdateBatch` flush (`0` = unlimited).
-    /// When a flush exceeds the cap, the least relevant (farthest)
-    /// items are merged/dropped first, so crowded clients see a staler
-    /// periphery instead of an unbounded queue.
-    pub max_updates_per_flush: u32,
-    /// Per-client byte budget per flush (`0` = unlimited), estimated
-    /// against the absolute item wire size. Enforced in relevance order
-    /// like `max_updates_per_flush`; at least one item always ships.
-    pub client_budget_bytes: u32,
-    /// Delta-compression keyframe interval: force an absolute-origin
-    /// keyframe item at least every this many flushes per client.
-    /// `0` disables delta encoding (every item absolute — the pre-delta
-    /// wire shape); `1` keyframes every flush but still delta-encodes items
-    /// within a batch.
-    pub keyframe_every: u32,
     /// Fixed-point resolution batch origins are snapped to before
     /// dissemination (`0.0` = no quantisation). Offsets between lattice
     /// origins are exact multiples of the quantum, so they genuinely fit
@@ -278,21 +211,9 @@ impl Default for GameServerConfig {
             report_positions: true,
             handoff_margin: 0.0,
             metric: Metric::Euclidean,
-            vision_radius: 0.0,
+            dissemination: DisseminationConfig::default(),
             batch_interval: SimDuration::from_millis(50),
-            cells_per_axis: 32,
-            ring_radii: [0.0; matrix_interest::MAX_RINGS],
-            ring_sample_rates: [1; matrix_interest::MAX_RINGS],
-            grid_autotune: false,
-            predict: false,
-            error_budgets: [0.0; matrix_interest::MAX_RINGS],
-            motion_window: 4,
-            velocity_quantum: 0.125,
-            position_only_ring: 0,
             emit_updates: false,
-            max_updates_per_flush: 128,
-            client_budget_bytes: 0,
-            keyframe_every: 8,
             origin_quantum: 1.0 / 256.0,
             replica_interval: SimDuration::from_millis(200),
             replica_lag_cap: 256,
@@ -302,37 +223,6 @@ impl Default for GameServerConfig {
             flush_workers: 1,
             trace_sample_rate: 0,
             slow_flush_threshold_us: 0,
-        }
-    }
-}
-
-impl GameServerConfig {
-    /// Copies ring tiers from slice form (as game specs carry them) into
-    /// the fixed-size config arrays, truncating to
-    /// [`matrix_interest::MAX_RINGS`] tiers. Missing rates default to 1.
-    pub fn set_rings(&mut self, radii: &[f64], rates: &[u32]) {
-        self.ring_radii = [0.0; matrix_interest::MAX_RINGS];
-        self.ring_sample_rates = [1; matrix_interest::MAX_RINGS];
-        for (i, r) in radii.iter().take(matrix_interest::MAX_RINGS).enumerate() {
-            self.ring_radii[i] = *r;
-            self.ring_sample_rates[i] = rates.get(i).copied().unwrap_or(1).max(1);
-        }
-    }
-
-    /// Whether multi-ring AOI tiering is configured (any ring radius
-    /// set).
-    pub fn rings_configured(&self) -> bool {
-        self.ring_radii.iter().any(|r| *r > 0.0)
-    }
-
-    /// Copies per-ring error budgets from slice form (as game specs
-    /// carry them) into the fixed-size config array, truncating to
-    /// [`matrix_interest::MAX_RINGS`]. Missing entries stay `0.0`
-    /// (never suppress).
-    pub fn set_error_budgets(&mut self, budgets: &[f64]) {
-        self.error_budgets = [0.0; matrix_interest::MAX_RINGS];
-        for (slot, b) in self.error_budgets.iter_mut().zip(budgets) {
-            *slot = b.max(0.0);
         }
     }
 }
@@ -391,34 +281,145 @@ mod tests {
 
     #[test]
     fn rings_default_off_and_copy_from_slices() {
-        let mut c = GameServerConfig::default();
-        assert!(!c.rings_configured(), "binary radius by default");
-        c.set_rings(&[35.0, 65.0, 100.0], &[1, 2]);
-        assert!(c.rings_configured());
-        assert_eq!(c.ring_radii[..3], [35.0, 65.0, 100.0]);
+        let d = GameServerConfig::default().dissemination;
+        assert_eq!(d.rings, None, "binary radius by default");
+        let ringed = d.with_rings(&[35.0, 65.0, 100.0], &[1, 2]);
         assert_eq!(
-            c.ring_sample_rates[..3],
-            [1, 2, 1],
+            ringed.rings,
+            Some(matrix_interest::RingSet::from_tiers(
+                &[35.0, 65.0, 100.0],
+                &[1, 2, 1]
+            )),
             "missing rates default to every-event"
         );
-        c.set_rings(&[], &[]);
-        assert!(!c.rings_configured(), "clearing restores the binary path");
+        assert_eq!(ringed.ring_set(250.0).outer_radius(), 100.0);
+        assert_eq!(
+            ringed.with_rings(&[0.0], &[]).rings,
+            None,
+            "clearing restores the binary path"
+        );
+        // The binary radius inherits the registered radius at 0.0.
+        assert_eq!(d.ring_set(250.0), matrix_interest::RingSet::single(250.0));
+        let narrow = DisseminationConfig {
+            vision_radius: 80.0,
+            ..d
+        };
+        assert_eq!(
+            narrow.ring_set(250.0),
+            matrix_interest::RingSet::single(80.0)
+        );
     }
 
     #[test]
     fn predict_defaults_off_and_budgets_copy_from_slices() {
-        let mut c = GameServerConfig::default();
-        assert!(!c.predict, "prediction is opt-in");
-        assert_eq!(c.error_budgets, [0.0; matrix_interest::MAX_RINGS]);
-        assert_eq!(c.position_only_ring, 0, "payload degradation is opt-in");
-        c.set_error_budgets(&[0.0, 2.0, 4.0]);
-        assert_eq!(c.error_budgets[..3], [0.0, 2.0, 4.0]);
-        c.set_error_budgets(&[-1.0]);
+        let d = GameServerConfig::default().dissemination;
+        assert!(!d.predict, "prediction is opt-in");
+        assert_eq!(d.error_budgets, [0.0; matrix_interest::MAX_RINGS]);
+        assert_eq!(d.position_only_ring, 0, "payload degradation is opt-in");
+        let on = d.with_predict(&[0.0, 2.0, 4.0]);
+        assert!(on.predict);
+        assert_eq!(on.error_budgets[..3], [0.0, 2.0, 4.0]);
+        let pinned = d.with_predict(&[5.0, 1.0, 2.0, 3.0]);
+        assert_eq!(pinned.budget_for(0), 0.0, "near means every event");
+        assert_eq!(pinned.budget_for(9), 3.0, "far indices clamp");
         assert_eq!(
-            c.error_budgets,
+            on.with_predict(&[-1.0]).error_budgets,
             [0.0; matrix_interest::MAX_RINGS],
             "negative budgets clamp to never-suppress and the rest clears"
         );
+    }
+
+    /// Destructures a config struct with no `..` and yields its field
+    /// names: a field missing from the list fails to compile.
+    macro_rules! fields {
+        ($ty:ident { $($field:ident),* $(,)? }) => {{
+            let $ty { $($field: _),* } = $ty::default();
+            [$(stringify!($field)),*]
+        }};
+    }
+
+    /// A new field on any of the four config structs fails to compile
+    /// here until it is listed, and then fails the test until
+    /// `docs/CONFIG.md` has a row for it.
+    #[test]
+    fn every_config_field_has_a_docs_row() {
+        let dissemination = fields!(DisseminationConfig {
+            vision_radius,
+            cells_per_axis,
+            grid_autotune,
+            rings,
+            max_updates_per_flush,
+            client_budget_bytes,
+            keyframe_every,
+            predict,
+            error_budgets,
+            motion_window,
+            velocity_quantum,
+            position_only_ring,
+        });
+        let game = fields!(GameServerConfig {
+            tick,
+            report_every_ticks,
+            client_state_bytes,
+            global_state_bytes,
+            report_positions,
+            handoff_margin,
+            metric,
+            dissemination,
+            batch_interval,
+            emit_updates,
+            origin_quantum,
+            replica_interval,
+            replica_lag_cap,
+            telemetry,
+            telemetry_events,
+            frame_crc,
+            flush_workers,
+            trace_sample_rate,
+            slow_flush_threshold_us,
+        });
+        let matrix = fields!(MatrixConfig {
+            adaptive,
+            overload_clients,
+            underload_clients,
+            overload_backlog,
+            overload_streak,
+            underload_streak,
+            reclaim_headroom,
+            cooldown,
+            split_strategy,
+            heartbeat_every,
+            resolve_locally,
+            standby_replication,
+            metric,
+        });
+        let coordinator = fields!(CoordinatorConfig {
+            heartbeat_timeout,
+            failover,
+            metric,
+            slo,
+        });
+        let docs = include_str!("../../../docs/CONFIG.md");
+        for (name, fields) in [
+            ("DisseminationConfig", &dissemination[..]),
+            ("GameServerConfig", &game[..]),
+            ("MatrixConfig", &matrix[..]),
+            ("CoordinatorConfig", &coordinator[..]),
+        ] {
+            let start = docs
+                .find(&format!("## `{name}`"))
+                .unwrap_or_else(|| panic!("docs/CONFIG.md has no `{name}` section"));
+            let section = &docs[start..];
+            let section = section[1..]
+                .find("\n## ")
+                .map_or(section, |end| &section[..end + 1]);
+            for field in fields {
+                assert!(
+                    section.contains(&format!("| `{field}` |")),
+                    "docs/CONFIG.md has no `{name}` row for `{field}`"
+                );
+            }
+        }
     }
 
     #[test]

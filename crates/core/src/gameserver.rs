@@ -18,10 +18,7 @@ use crate::messages::{
 use crate::packet::{ClientId, GamePacket, SpatialTag};
 use bytes::Bytes;
 use matrix_geometry::{Point, Rect, ServerId};
-use matrix_interest::{
-    AutoTunerConfig, Basis, DisseminationPipeline, EncodedOrigin, FlushPolicy, PipelineConfig,
-    PredictorConfig, RingSet, MAX_RINGS,
-};
+use matrix_interest::{Basis, DisseminationPipeline, EncodedOrigin, PipelineConfig, MAX_RINGS};
 use matrix_replication::{
     PendingUpdate, PredictBasis, ReplicaLog, ReplicaReceiver, SessionState, StreamBase, TunerState,
 };
@@ -236,7 +233,7 @@ impl GameServerNode {
             radius: 0.0,
             range: None,
             clients: BTreeMap::new(),
-            pipeline: Self::make_pipeline(Rect::from_coords(0.0, 0.0, 1.0, 1.0), &cfg, 0.0),
+            pipeline: Self::make_pipeline(Rect::from_coords(0.0, 0.0, 1.0, 1.0), &cfg),
             standby: None,
             replica: ReplicaLog::new(cfg.replica_interval, cfg.replica_lag_cap),
             receiver: ReplicaReceiver::new(),
@@ -280,39 +277,17 @@ impl GameServerNode {
     fn make_pipeline(
         bounds: Rect,
         cfg: &GameServerConfig,
-        registered_radius: f64,
     ) -> DisseminationPipeline<ClientId, UpdateItem> {
         let mut pipeline = DisseminationPipeline::new(
             bounds,
-            cfg.cells_per_axis.max(1),
-            Self::ring_set_for(cfg, registered_radius),
+            cfg.dissemination,
             PipelineConfig {
                 metric: cfg.metric,
-                policy: FlushPolicy {
-                    max_items: cfg.max_updates_per_flush as usize,
-                    budget_bytes: cfg.client_budget_bytes as usize,
-                },
                 // The encoder's lattice check must match the quantum
                 // fan_out snaps origins to, or the two silently diverge
                 // and every item keyframes (0.0 disables both the
                 // snapping and the lattice requirement).
-                keyframe_every: cfg.keyframe_every,
                 origin_quantum: cfg.origin_quantum,
-                autotune: if cfg.grid_autotune {
-                    AutoTunerConfig::enabled()
-                } else {
-                    AutoTunerConfig::default()
-                },
-                predict: if cfg.predict {
-                    PredictorConfig {
-                        motion_window: cfg.motion_window,
-                        velocity_quantum: cfg.velocity_quantum,
-                        ..PredictorConfig::with_budgets(&cfg.error_budgets)
-                    }
-                } else {
-                    PredictorConfig::default()
-                },
-                position_only_ring: cfg.position_only_ring,
                 telemetry: cfg.telemetry,
             },
         )
@@ -325,21 +300,6 @@ impl GameServerNode {
         pipeline
     }
 
-    /// The AOI tiers for a config: the configured concentric rings, or
-    /// the single binary vision radius when none are set.
-    fn ring_set_for(cfg: &GameServerConfig, registered_radius: f64) -> RingSet {
-        if cfg.rings_configured() {
-            RingSet::from_tiers(&cfg.ring_radii, &cfg.ring_sample_rates)
-        } else {
-            let vision = if cfg.vision_radius > 0.0 {
-                cfg.vision_radius
-            } else {
-                registered_radius
-            };
-            RingSet::single(vision)
-        }
-    }
-
     /// Re-anchors the pipeline's interest grid to a new managed range,
     /// re-indexing the connected clients, and refreshes the ring tiers
     /// (the registered radius may have changed with the range). Splits
@@ -348,10 +308,9 @@ impl GameServerNode {
     fn rebuild_grid(&mut self, bounds: Rect) {
         self.pipeline.reset(
             bounds,
+            self.radius,
             self.clients.iter().map(|(cid, rec)| (*cid, rec.pos)),
         );
-        self.pipeline
-            .set_rings(Self::ring_set_for(&self.cfg, self.radius));
     }
 
     /// Developer API entry point: register the game with Matrix
@@ -1123,7 +1082,7 @@ impl GameServerNode {
         // the tuner is live, or an earlier inheritance moved the grid
         // off the configured resolution.
         if self.pipeline.autotune_enabled()
-            || self.pipeline.cells_per_axis() != self.cfg.cells_per_axis.max(1)
+            || self.pipeline.cells_per_axis() != self.cfg.dissemination.cells_per_axis.max(1)
         {
             let (cells, streak, pending) = self.pipeline.tuner_state();
             snap.tuner = Some(TunerState {
@@ -1332,6 +1291,7 @@ impl GameServerNode {
 mod tests {
     use super::*;
     use matrix_geometry::Metric;
+    use matrix_interest::DisseminationConfig;
     use matrix_sim::SimTime;
 
     fn world() -> Rect {
@@ -1571,7 +1531,10 @@ mod tests {
     #[test]
     fn vision_radius_overrides_consistency_radius_for_fanout() {
         let cfg = GameServerConfig {
-            vision_radius: 15.0,
+            dissemination: DisseminationConfig {
+                vision_radius: 15.0,
+                ..DisseminationConfig::default()
+            },
             ..GameServerConfig::default()
         };
         let mut g = GameServerNode::new(ServerId(1), cfg);
@@ -1866,7 +1829,10 @@ mod tests {
     #[test]
     fn rate_limit_keeps_the_nearest_items() {
         let cfg = GameServerConfig {
-            max_updates_per_flush: 2,
+            dissemination: DisseminationConfig {
+                max_updates_per_flush: 2,
+                ..DisseminationConfig::default()
+            },
             ..GameServerConfig::default()
         };
         let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
@@ -2248,14 +2214,14 @@ mod tests {
     /// units, per-event flushes so suppression decisions are observable
     /// one by one.
     fn predicting_node() -> GameServerNode {
-        let mut cfg = GameServerConfig {
-            predict: true,
+        let cfg = GameServerConfig {
+            dissemination: DisseminationConfig::default()
+                .with_rings(&[20.0, 200.0], &[1, 1])
+                .with_predict(&[0.0, 2.0]),
             emit_updates: true,
             batch_interval: matrix_sim::SimDuration::from_millis(0),
             ..GameServerConfig::default()
         };
-        cfg.set_rings(&[20.0, 200.0], &[1, 1]);
-        cfg.set_error_budgets(&[0.0, 2.0]);
         let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
         g.register(world(), 200.0);
         g
@@ -2345,12 +2311,12 @@ mod tests {
 
     #[test]
     fn prediction_off_keeps_the_wire_velocity_free() {
-        let mut cfg = GameServerConfig {
+        let cfg = GameServerConfig {
+            dissemination: DisseminationConfig::default().with_rings(&[20.0, 200.0], &[1, 1]),
             emit_updates: true,
             batch_interval: matrix_sim::SimDuration::from_millis(0),
             ..GameServerConfig::default()
         };
-        cfg.set_rings(&[20.0, 200.0], &[1, 1]);
         let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
         g.register(world(), 200.0);
         join(&mut g, 1, Point::new(50.0, 200.0));
@@ -2406,13 +2372,15 @@ mod tests {
 
     #[test]
     fn position_only_ring_strips_far_payloads() {
-        let mut cfg = GameServerConfig {
+        let cfg = GameServerConfig {
+            dissemination: DisseminationConfig {
+                position_only_ring: 1,
+                ..DisseminationConfig::default().with_rings(&[20.0, 200.0], &[1, 1])
+            },
             emit_updates: true,
             batch_interval: matrix_sim::SimDuration::from_millis(0),
-            position_only_ring: 1,
             ..GameServerConfig::default()
         };
-        cfg.set_rings(&[20.0, 200.0], &[1, 1]);
         let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
         g.register(world(), 200.0);
         join(&mut g, 1, Point::new(100.0, 100.0));
@@ -2494,14 +2462,16 @@ mod tests {
         // flush_workers is purely a throughput knob, and the per-flush
         // stat-delta merge keeps totals independent of the shard count.
         let make = |workers: u32, parallel: bool| {
-            let mut cfg = GameServerConfig {
+            let cfg = GameServerConfig {
                 emit_updates: true,
                 flush_workers: workers,
-                max_updates_per_flush: 4,
-                client_budget_bytes: 256,
+                dissemination: DisseminationConfig {
+                    max_updates_per_flush: 4,
+                    client_budget_bytes: 256,
+                    ..DisseminationConfig::default().with_rings(&[30.0, 120.0], &[1, 2])
+                },
                 ..GameServerConfig::default()
             };
-            cfg.set_rings(&[30.0, 120.0], &[1, 2]);
             let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
             if parallel {
                 g = g.with_parallel_flush();
@@ -2538,7 +2508,10 @@ mod tests {
             let cfg = GameServerConfig {
                 emit_updates: true,
                 flush_workers: workers,
-                predict: true,
+                dissemination: DisseminationConfig {
+                    predict: true,
+                    ..DisseminationConfig::default()
+                },
                 ..GameServerConfig::default()
             };
             let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();

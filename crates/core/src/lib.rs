@@ -19,9 +19,9 @@
 //!   spatial-hash [`InterestGrid`] answers "which local clients can see
 //!   this event" in O(cells + matches) instead of scanning every
 //!   client, with a per-client vision radius
-//!   (`GameServerConfig::vision_radius`) distinct from the
+//!   ([`DisseminationConfig::vision_radius`]) distinct from the
 //!   consistency-set radius — or a multi-tier AOI of concentric
-//!   [`RingSet`] vision rings (`ring_radii` / `ring_sample_rates`:
+//!   [`RingSet`] vision rings ([`DisseminationConfig::rings`]:
 //!   near = every event, outer tiers deterministically sampled) — and
 //!   an [`UpdateBatcher`] that coalesces client-bound updates into
 //!   `GameToClient::UpdateBatch` messages on a configurable flush
@@ -107,7 +107,7 @@ pub use server::{Action, Lifecycle, MatrixServer, ServerStats};
 // servers own an `InterestGrid` and drivers may want to query it; the
 // delta codec and flush policy are reused by clients and test suites.
 pub use matrix_interest::{
-    quantize, AutoTuner, AutoTunerConfig, DeltaEncoder, DeltaStream, Disseminated,
+    quantize, AutoTuner, DeltaEncoder, DeltaStream, Disseminated, DisseminationConfig,
     DisseminationPipeline, EncodedOrigin, FlushPolicy, InterestGrid, PipelineConfig, RingSampler,
     RingSet, Selection, UpdateBatcher, ANON_ENTITY, MAX_RINGS,
 };
@@ -117,7 +117,6 @@ pub use matrix_interest::{
 // by the property suites and the predict experiment.
 pub use matrix_interest::{
     extrapolate, quantize_velocity, Admission, Basis, Extrapolator, MotionModel, PredictedStream,
-    PredictorConfig,
 };
 
 // Re-export the replication subsystem's moving parts: drivers inspect

@@ -70,9 +70,10 @@ impl Scale {
 ///
 /// Adaptation is disabled (one static server) so the crowd cannot be
 /// split away — the interest layer has to absorb the full fan-out.
-pub fn config(spec: GameSpec, seed: u64) -> ClusterConfig {
+pub fn config(spec: GameSpec, seed: u64, flush_workers: u32) -> ClusterConfig {
     let mut cfg = ClusterConfig::static_partition(spec, 1);
     cfg.seed = seed;
+    cfg.game.flush_workers = flush_workers;
     // The point of the experiment is delivered batches, not queue drops:
     // give the lone server effectively unbounded capacity and emit real
     // per-client updates so the dissemination pipeline is exercised end
@@ -83,19 +84,21 @@ pub fn config(spec: GameSpec, seed: u64) -> ClusterConfig {
 }
 
 /// Runs the dense-crowd scenario for one crowd size and per-client
-/// downlink budget (`0` = keep the game preset's own budget).
+/// downlink budget (`0` = keep the game preset's own budget), with the
+/// lone server's flush split into `flush_workers` shards.
 pub fn run_one(
     spec: &GameSpec,
     clients: u32,
     budget_bytes: u32,
     horizon_secs: u64,
     seed: u64,
+    flush_workers: u32,
 ) -> DenseCrowdRow {
     let mut spec = spec.clone();
     // Keep event volume tractable while still dense: moderate update rate.
     spec.update_rate_hz = spec.update_rate_hz.min(2.0);
     if budget_bytes != 0 {
-        spec.client_budget_bytes = budget_bytes;
+        spec.dissemination.client_budget_bytes = budget_bytes;
     }
     let horizon = SimTime::from_secs(horizon_secs);
     let schedule = WorkloadSchedule::new(horizon).at(
@@ -108,7 +111,7 @@ pub fn run_one(
             },
         },
     );
-    let report = Cluster::new(config(spec, seed), schedule).run();
+    let report = Cluster::new(config(spec, seed, flush_workers), schedule).run();
     DenseCrowdRow {
         clients,
         budget_bytes,
@@ -123,14 +126,21 @@ pub fn run_one(
 /// property the table must come out identical for any value — which is
 /// exactly what the CI smoke run at 4 workers pins.
 pub fn run(seed: u64, scale: Scale, flush_workers: u32) -> Vec<DenseCrowdRow> {
-    let spec = GameSpec::bzflag().with_flush_workers(flush_workers);
+    let spec = GameSpec::bzflag();
     let max = scale.max_crowd;
     let mut rows: Vec<DenseCrowdRow> = [max / 4, max / 2, max]
         .into_iter()
-        .map(|n| run_one(&spec, n, 0, scale.horizon_secs, seed))
+        .map(|n| run_one(&spec, n, 0, scale.horizon_secs, seed, flush_workers))
         .collect();
     // The same largest crowd on a 2 KiB-per-flush client downlink.
-    rows.push(run_one(&spec, max, 2048, scale.horizon_secs, seed));
+    rows.push(run_one(
+        &spec,
+        max,
+        2048,
+        scale.horizon_secs,
+        seed,
+        flush_workers,
+    ));
     rows
 }
 
@@ -234,7 +244,7 @@ mod tests {
     #[test]
     fn dense_crowd_delivers_batched_updates_end_to_end() {
         let spec = GameSpec::bzflag();
-        let row = run_one(&spec, 300, 0, 20, 7);
+        let row = run_one(&spec, 300, 0, 20, 7, 1);
         let r = &row.report;
         assert!(r.update_batches_delivered > 0, "batches must reach clients");
         assert!(r.batched_updates_delivered >= r.update_batches_delivered);
@@ -252,8 +262,8 @@ mod tests {
     #[test]
     fn bigger_crowds_fan_out_more() {
         let spec = GameSpec::bzflag();
-        let small = run_one(&spec, 100, 0, 20, 11).report.updates_fanned;
-        let large = run_one(&spec, 400, 0, 20, 11).report.updates_fanned;
+        let small = run_one(&spec, 100, 0, 20, 11, 1).report.updates_fanned;
+        let large = run_one(&spec, 400, 0, 20, 11, 1).report.updates_fanned;
         assert!(
             large > 4 * small,
             "fan-out grows superlinearly with crowd density: {small} -> {large}"
@@ -263,8 +273,8 @@ mod tests {
     #[test]
     fn tight_downlink_budget_rate_limits_instead_of_queueing() {
         let spec = GameSpec::bzflag();
-        let free = run_one(&spec, 300, 0, 20, 13).report;
-        let tight = run_one(&spec, 300, 512, 20, 13).report;
+        let free = run_one(&spec, 300, 0, 20, 13, 1).report;
+        let tight = run_one(&spec, 300, 512, 20, 13, 1).report;
         assert!(
             tight.updates_rate_limited > free.updates_rate_limited,
             "a 512-byte downlink must defer updates: {} vs {}",

@@ -97,28 +97,26 @@ impl ClusterConfig {
             metric: spec.metric,
             ..MatrixConfig::default()
         };
-        let mut game = GameServerConfig {
+        let game = GameServerConfig {
             client_state_bytes: spec.client_state_bytes,
             global_state_bytes: spec.global_state_bytes,
             metric: spec.metric,
             handoff_margin: spec.radius * 0.15,
-            vision_radius: spec.vision_radius,
-            max_updates_per_flush: spec.max_updates_per_flush,
-            client_budget_bytes: spec.client_budget_bytes,
-            grid_autotune: spec.grid_autotune,
-            predict: spec.predict,
-            motion_window: spec.motion_window,
-            position_only_ring: spec.position_only_ring,
-            flush_workers: spec.flush_workers,
+            dissemination: spec.dissemination,
             ..GameServerConfig::default()
         };
-        game.set_rings(&spec.ring_radii, &spec.ring_sample_rates);
-        game.set_error_budgets(&spec.error_budgets);
+        // The coordinator builds overlap tables and answers the rare
+        // `ResolvePoint` fallback: it must measure distance the way the
+        // Matrix servers' local path does.
+        let coordinator = CoordinatorConfig {
+            metric: spec.metric,
+            ..CoordinatorConfig::default()
+        };
         ClusterConfig {
             spec,
             matrix,
             game,
-            coordinator: CoordinatorConfig::default(),
+            coordinator,
             net: NetConfig::default(),
             pool_size: 16,
             initial_servers: 1,
@@ -1313,6 +1311,7 @@ fn peer_msg_bytes(msg: &PeerMsg) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matrix_core::DisseminationConfig;
     use matrix_games::{Placement, WorkloadSchedule};
 
     fn small_spec() -> GameSpec {
@@ -1321,6 +1320,113 @@ mod tests {
         spec.update_rate_hz = 2.0;
         spec.server_capacity = 300.0;
         spec
+    }
+
+    /// The four presets the experiments run: the paper's three games
+    /// plus the synthetic racer.
+    fn presets() -> [GameSpec; 4] {
+        [
+            GameSpec::bzflag(),
+            GameSpec::quake2(),
+            GameSpec::daimonin(),
+            GameSpec::racer(),
+        ]
+    }
+
+    #[test]
+    fn adaptive_resolves_each_preset_to_the_pinned_dissemination() {
+        for (spec, cap) in presets().into_iter().zip([64, 128, 32, 128]) {
+            let cfg = ClusterConfig::adaptive(spec.clone());
+            // Every field spelled out: a default drifting between
+            // structs changes bytes only in arrangements the wire pins
+            // may not reach, so it is pinned here instead.
+            let want = DisseminationConfig {
+                vision_radius: spec.radius,
+                cells_per_axis: 32,
+                grid_autotune: false,
+                rings: None,
+                max_updates_per_flush: cap,
+                client_budget_bytes: 0,
+                keyframe_every: 8,
+                predict: false,
+                error_budgets: [0.0; matrix_core::MAX_RINGS],
+                motion_window: 4,
+                velocity_quantum: 0.125,
+                position_only_ring: 0,
+            };
+            assert_eq!(cfg.game.dissemination, want, "{}", spec.name);
+            assert_eq!(cfg.game.flush_workers, 1, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn coordinator_resolves_with_the_game_metric() {
+        for spec in presets() {
+            let cfg = ClusterConfig::adaptive(spec.clone());
+            assert_eq!(cfg.matrix.metric, spec.metric, "{}", spec.name);
+            assert_eq!(cfg.game.metric, spec.metric, "{}", spec.name);
+            assert_eq!(cfg.coordinator.metric, spec.metric, "{}", spec.name);
+        }
+
+        // Daimonin measures tiles by Chebyshev distance. A point 0.8 R
+        // from both cuts of a 2×2 grid sees the diagonal quadrant under
+        // Chebyshev (0.8 R) but not under Euclidean (0.8 R·√2 > R), so
+        // the two resolution paths only agree if they share the metric.
+        let spec = GameSpec::daimonin();
+        assert_eq!(spec.metric, matrix_geometry::Metric::Chebyshev);
+        let cfg = ClusterConfig::adaptive(spec.clone());
+        let servers: Vec<ServerId> = (1..=4).map(ServerId).collect();
+        let map = matrix_geometry::PartitionMap::static_grid(spec.world, &servers).unwrap();
+        let c = spec.world.center();
+        let d = spec.radius * 0.8;
+        let point = Point::new(c.x - d, c.y - d);
+        let here = map.owner_of(point).unwrap();
+        let diagonal = map.owner_of(Point::new(c.x + d, c.y + d)).unwrap();
+        let range = map.range_of(here).unwrap();
+
+        let (mut coord, tables) = Coordinator::with_map(cfg.coordinator, map, spec.radius);
+        let CoordAction::Send(_, table) = tables
+            .into_iter()
+            .find(|CoordAction::Send(to, _)| *to == here)
+            .unwrap();
+        let mut server = MatrixServer::with_range(here, cfg.matrix, range, spec.radius);
+        server.on_coord(SimTime::ZERO, table);
+
+        // The local path: a non-proximal interaction landing at `point`.
+        let pkt = matrix_core::GamePacket::synthetic(
+            ClientId(1),
+            matrix_core::SpatialTag::towards(range.center(), point),
+            64,
+            0,
+        );
+        let mut local: Vec<ServerId> = server
+            .on_game(SimTime::ZERO, matrix_core::GameToMatrix::Forward(pkt))
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::ToPeer(peer, PeerMsg::Update(_)) => Some(peer),
+                _ => None,
+            })
+            .collect();
+        local.sort();
+        assert!(local.contains(&diagonal), "{local:?}");
+
+        // The rare path (§3.2.4): the coordinator answers `ResolvePoint`.
+        let reply = coord.handle(
+            SimTime::ZERO,
+            CoordMsg::ResolvePoint {
+                server: here,
+                client: ClientId(1),
+                point,
+                radius: None,
+            },
+        );
+        let [CoordAction::Send(_, CoordReply::Resolved { mut set, .. })] =
+            <[_; 1]>::try_from(reply).unwrap()
+        else {
+            panic!("expected one Resolved reply");
+        };
+        set.sort();
+        assert_eq!(set, local, "coordinator and local path disagree");
     }
 
     #[test]

@@ -52,8 +52,8 @@
 //! ring's budget is pinned to 0, so prediction never touches it.
 
 use matrix_core::{
-    quantize, reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameAction,
-    GameServerConfig, GameServerNode, GameStats, GameToClient, RingSet, ServerId, WireCodec,
+    quantize, reconstruct_updates, ClientId, ClientToGame, DisseminationConfig, Extrapolator,
+    GameAction, GameServerConfig, GameServerNode, GameStats, GameToClient, ServerId, WireCodec,
     MAX_RINGS,
 };
 use matrix_games::{ClientPop, GameSpec, Placement, PopulationEvent};
@@ -146,33 +146,34 @@ impl PredictRow {
 pub fn server_config(spec: &GameSpec, mode: Mode, codec: WireCodec) -> GameServerConfig {
     let WireCodec::BinaryV2 = codec;
     let (radii, rates) = spec.ring_tiers();
-    let mut game = GameServerConfig {
-        metric: spec.metric,
-        vision_radius: spec.vision_radius,
-        emit_updates: true,
-        batch_interval: SimDuration::from_millis(0),
+    let uncapped = DisseminationConfig {
         max_updates_per_flush: 0,
         client_budget_bytes: 0,
-        predict: mode != Mode::Rings,
-        motion_window: spec.motion_window,
         velocity_quantum: spec.velocity_quantum(),
-        position_only_ring: match mode {
-            Mode::PredictStrip => (radii.len() as u8).saturating_sub(1),
-            _ => 0,
-        },
-        ..GameServerConfig::default()
+        ..spec.dissemination
     };
-    match mode {
-        // The PR 4 baseline: outer tiers decimated by rate.
-        Mode::Rings => game.set_rings(&radii, &rates),
-        // Prediction grades accuracy instead: every-event rates, the
-        // error budgets decide what ships.
-        Mode::Predict | Mode::PredictStrip => {
-            game.set_rings(&radii, &vec![1; radii.len()]);
-            game.set_error_budgets(&spec.recommended_error_budgets());
-        }
+    // Prediction grades accuracy instead of rate: every-event rings
+    // (the default for missing rates), the error budgets decide what
+    // ships.
+    let predicting = uncapped
+        .with_rings(&radii, &[])
+        .with_predict(&spec.recommended_error_budgets());
+    let dissemination = match mode {
+        // The baseline: outer tiers decimated by rate.
+        Mode::Rings => uncapped.with_rings(&radii, &rates),
+        Mode::Predict => predicting,
+        Mode::PredictStrip => DisseminationConfig {
+            position_only_ring: (radii.len() as u8).saturating_sub(1),
+            ..predicting
+        },
+    };
+    GameServerConfig {
+        metric: spec.metric,
+        dissemination,
+        emit_updates: true,
+        batch_interval: SimDuration::from_millis(0),
+        ..GameServerConfig::default()
     }
-    game
 }
 
 /// Runs one mode of the scenario, mirroring every receiver's
@@ -180,7 +181,7 @@ pub fn server_config(spec: &GameSpec, mode: Mode, codec: WireCodec) -> GameServe
 pub fn run_one(spec: &GameSpec, mode: Mode, seed: u64, scale: Scale) -> PredictRow {
     let started = std::time::Instant::now();
     let gcfg = server_config(spec, mode, WireCodec::BinaryV2);
-    let rings = RingSet::from_tiers(&gcfg.ring_radii, &gcfg.ring_sample_rates);
+    let rings = gcfg.dissemination.ring_set(spec.radius);
     let mut node = GameServerNode::new(ServerId(1), gcfg).with_fanout();
     node.register(spec.world, spec.radius);
 
@@ -445,6 +446,40 @@ pub fn to_csv(rows: &[PredictRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matrix_core::RingSet;
+
+    #[test]
+    fn server_config_resolves_each_mode_to_the_pinned_dissemination() {
+        let spec = GameSpec::racer();
+        let v = spec.radius;
+        let radii = [v * 0.35, v * 0.65, v];
+        let budgets = [0.0, v * 0.65 * 0.05, v * 0.05, 0.0];
+        for (mode, rates, predict, error_budgets, position_only_ring) in [
+            (Mode::Rings, [1, 2, 4], false, [0.0; MAX_RINGS], 0),
+            (Mode::Predict, [1, 1, 1], true, budgets, 0),
+            (Mode::PredictStrip, [1, 1, 1], true, budgets, 2),
+        ] {
+            let cfg = server_config(&spec, mode, WireCodec::BinaryV2);
+            let want = DisseminationConfig {
+                vision_radius: v,
+                cells_per_axis: 32,
+                grid_autotune: false,
+                rings: Some(RingSet::from_tiers(&radii, &rates)),
+                max_updates_per_flush: 0,
+                client_budget_bytes: 0,
+                keyframe_every: 8,
+                predict,
+                error_budgets,
+                motion_window: 4,
+                velocity_quantum: spec.velocity_quantum(),
+                position_only_ring,
+            };
+            assert_eq!(cfg.dissemination, want, "{mode:?}");
+            assert_eq!(cfg.metric, spec.metric);
+            assert!(cfg.emit_updates);
+            assert_eq!(cfg.batch_interval, SimDuration::from_millis(0));
+        }
+    }
 
     #[test]
     fn smoke_scale_meets_the_acceptance_bounds() {

@@ -101,14 +101,14 @@ pub fn config(spec: &GameSpec, mode: Mode, seed: u64) -> ClusterConfig {
     let mut spec = spec.clone();
     spec.update_rate_hz = spec.update_rate_hz.min(2.0);
     let (radii, rates) = spec.ring_tiers();
-    spec.ring_radii = radii;
-    spec.ring_sample_rates = match mode {
-        // Same boundaries, sampling off: byte-identical to the plain
-        // binary radius, but with per-tier delivery accounting.
-        Mode::Binary => vec![1; spec.ring_radii.len()],
-        _ => rates,
+    spec.dissemination = match mode {
+        // Same boundaries, sampling off (missing rates are every-event):
+        // byte-identical to the plain binary radius, but with per-tier
+        // delivery accounting.
+        Mode::Binary => spec.dissemination.with_rings(&radii, &[]),
+        _ => spec.dissemination.with_rings(&radii, &rates),
     };
-    spec.grid_autotune = mode == Mode::RingsTuned;
+    spec.dissemination.grid_autotune = mode == Mode::RingsTuned;
     let mut cfg = ClusterConfig::static_partition(spec, 1);
     cfg.seed = seed;
     // Delivered batches are the point, not queue drops: unbounded
@@ -121,8 +121,8 @@ pub fn config(spec: &GameSpec, mode: Mode, seed: u64) -> ClusterConfig {
     // same periphery *without* a budget: what ships is decided by
     // relevance tier, not by truncation, so the measured reduction is
     // the AOI grading itself. The two levers compose in production.
-    cfg.game.max_updates_per_flush = 0;
-    cfg.game.client_budget_bytes = 0;
+    cfg.game.dissemination.max_updates_per_flush = 0;
+    cfg.game.dissemination.client_budget_bytes = 0;
     cfg
 }
 

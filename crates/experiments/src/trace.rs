@@ -137,8 +137,8 @@ fn trace_knobs(cfg: &mut ClusterConfig) -> u64 {
     cfg.game.telemetry = true;
     cfg.game.tick = SimDuration::from_millis(50);
     cfg.game.batch_interval = SimDuration::from_millis(50);
-    cfg.game.max_updates_per_flush = 0;
-    cfg.game.client_budget_bytes = 0;
+    cfg.game.dissemination.max_updates_per_flush = 0;
+    cfg.game.dissemination.client_budget_bytes = 0;
     (cfg.game.batch_interval + cfg.game.tick).as_micros()
 }
 
@@ -152,7 +152,7 @@ pub fn run_dense(seed: u64, scale: Scale) -> TraceRow {
     cfg.seed = seed;
     cfg.queue_capacity = None;
     cfg.game.emit_updates = true;
-    cfg.game.set_rings(&radii, &rates);
+    cfg.game.dissemination = cfg.game.dissemination.with_rings(&radii, &rates);
     let bound_us = trace_knobs(&mut cfg);
     let schedule = WorkloadSchedule::new(SimTime::from_secs(scale.horizon_secs)).at(
         SimTime::ZERO,
@@ -182,7 +182,7 @@ pub fn run_failover(seed: u64, scale: Scale) -> TraceRow {
     cfg.seed = seed;
     cfg.queue_capacity = None;
     cfg.game.emit_updates = true;
-    cfg.game.set_rings(&radii, &rates);
+    cfg.game.dissemination = cfg.game.dissemination.with_rings(&radii, &rates);
     cfg.matrix.standby_replication = true;
     cfg.pool_size = 4;
     cfg.coordinator.heartbeat_timeout = SimDuration::from_secs(2);

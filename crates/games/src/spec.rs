@@ -8,6 +8,7 @@
 //! values are drawn from the games' public documentation and typical
 //! gameplay, and the experiments sweep around them.
 
+use matrix_core::DisseminationConfig;
 use matrix_geometry::{Metric, Point, Rect};
 use serde::{Deserialize, Serialize};
 
@@ -20,37 +21,11 @@ pub struct GameSpec {
     pub world: Rect,
     /// Radius of visibility (the `R` of Equation 1).
     pub radius: f64,
-    /// Per-client area-of-interest radius for update fan-out. Routing
-    /// between servers stays conservative at `radius`; what each client
-    /// actually renders can be narrower. `0.0` means "same as `radius`".
-    pub vision_radius: f64,
-    /// Concentric vision-ring boundaries (ascending, world units; empty
-    /// = single binary `vision_radius`). When set, the outermost ring is
-    /// the effective AOI and outer tiers are sampled per
-    /// `ring_sample_rates`.
-    pub ring_radii: Vec<f64>,
-    /// Per-ring sampling rates parallel to `ring_radii` (1 = every
-    /// event; the innermost ring always delivers in full).
-    pub ring_sample_rates: Vec<u32>,
-    /// Density-driven interest-grid resolution auto-tuning.
-    pub grid_autotune: bool,
-    /// Dead-reckoning suppression: ship per-entity velocities and skip
-    /// updates while receivers can extrapolate within `error_budgets`.
-    pub predict: bool,
-    /// Per-ring receiver error budgets (world units) parallel to
-    /// `ring_radii`; `0.0` = never suppress in that ring. The near ring
-    /// is always pinned to 0 (every event).
-    pub error_budgets: Vec<f64>,
-    /// Sliding-window length of the velocity estimator feeding
-    /// prediction.
-    pub motion_window: u32,
-    /// Ring index from which updates ship position-only (`0` = full
-    /// payloads everywhere).
-    pub position_only_ring: u8,
-    /// Number of shards the dissemination flush is partitioned into
-    /// (1 = the sequential path). Purely a throughput knob — the flush
-    /// output is byte-identical for any value.
-    pub flush_workers: u32,
+    /// The game's dissemination knobs, copied whole into
+    /// `GameServerConfig::dissemination`. Presets set a binary
+    /// `vision_radius` equal to `radius` and a per-flush item cap;
+    /// everything else keeps the game-server defaults.
+    pub dissemination: DisseminationConfig,
     /// In-game distance metric.
     pub metric: Metric,
     /// Player movement speed, world units per second.
@@ -63,12 +38,6 @@ pub struct GameSpec {
     pub move_bytes: usize,
     /// Action packet payload, bytes.
     pub action_bytes: usize,
-    /// Per-client cap on items per update-batch flush (`0` = unlimited):
-    /// how many events the game is willing to describe to one client per
-    /// flush interval before degrading the periphery.
-    pub max_updates_per_flush: u32,
-    /// Per-client downlink budget in bytes per flush (`0` = unlimited).
-    pub client_budget_bytes: u32,
     /// Per-client session state carried across a server switch, bytes.
     pub client_state_bytes: u64,
     /// Dynamic global state shipped to a freshly split server, bytes.
@@ -95,23 +64,17 @@ impl GameSpec {
             name: "bzflag".into(),
             world: Rect::from_coords(0.0, 0.0, 800.0, 800.0),
             radius: 100.0,
-            vision_radius: 100.0,
-            ring_radii: Vec::new(),
-            ring_sample_rates: Vec::new(),
-            grid_autotune: false,
-            predict: false,
-            error_budgets: Vec::new(),
-            motion_window: 4,
-            position_only_ring: 0,
-            flush_workers: 1,
+            dissemination: DisseminationConfig {
+                vision_radius: 100.0,
+                max_updates_per_flush: 64,
+                ..DisseminationConfig::default()
+            },
             metric: Metric::Euclidean,
             move_speed: 25.0,
             update_rate_hz: 5.0,
             action_rate_hz: 1.0,
             move_bytes: 32,
             action_bytes: 90,
-            max_updates_per_flush: 64,
-            client_budget_bytes: 0,
             client_state_bytes: 1_500,
             global_state_bytes: 2_000_000,
             server_capacity: 3_000.0,
@@ -128,23 +91,17 @@ impl GameSpec {
             name: "quake2".into(),
             world: Rect::from_coords(0.0, 0.0, 2_000.0, 2_000.0),
             radius: 250.0,
-            vision_radius: 250.0,
-            ring_radii: Vec::new(),
-            ring_sample_rates: Vec::new(),
-            grid_autotune: false,
-            predict: false,
-            error_budgets: Vec::new(),
-            motion_window: 4,
-            position_only_ring: 0,
-            flush_workers: 1,
+            dissemination: DisseminationConfig {
+                vision_radius: 250.0,
+                max_updates_per_flush: 128,
+                ..DisseminationConfig::default()
+            },
             metric: Metric::Euclidean,
             move_speed: 300.0,
             update_rate_hz: 10.0,
             action_rate_hz: 2.0,
             move_bytes: 40,
             action_bytes: 60,
-            max_updates_per_flush: 128,
-            client_budget_bytes: 0,
             client_state_bytes: 900,
             global_state_bytes: 1_000_000,
             server_capacity: 4_500.0,
@@ -161,23 +118,17 @@ impl GameSpec {
             name: "daimonin".into(),
             world: Rect::from_coords(0.0, 0.0, 10_000.0, 10_000.0),
             radius: 350.0,
-            vision_radius: 350.0,
-            ring_radii: Vec::new(),
-            ring_sample_rates: Vec::new(),
-            grid_autotune: false,
-            predict: false,
-            error_budgets: Vec::new(),
-            motion_window: 4,
-            position_only_ring: 0,
-            flush_workers: 1,
+            dissemination: DisseminationConfig {
+                vision_radius: 350.0,
+                max_updates_per_flush: 32,
+                ..DisseminationConfig::default()
+            },
             metric: Metric::Chebyshev, // tile-based visibility
             move_speed: 40.0,
             update_rate_hz: 2.0,
             action_rate_hz: 0.5,
             move_bytes: 24,
             action_bytes: 200,
-            max_updates_per_flush: 32,
-            client_budget_bytes: 0,
             client_state_bytes: 8_000,
             global_state_bytes: 12_000_000,
             server_capacity: 1_200.0,
@@ -199,23 +150,17 @@ impl GameSpec {
             name: "racer".into(),
             world: Rect::from_coords(0.0, 0.0, 600.0, 600.0),
             radius: 150.0,
-            vision_radius: 150.0,
-            ring_radii: Vec::new(),
-            ring_sample_rates: Vec::new(),
-            grid_autotune: false,
-            predict: false,
-            error_budgets: Vec::new(),
-            motion_window: 4,
-            position_only_ring: 0,
-            flush_workers: 1,
+            dissemination: DisseminationConfig {
+                vision_radius: 150.0,
+                max_updates_per_flush: 128,
+                ..DisseminationConfig::default()
+            },
             metric: Metric::Euclidean,
             move_speed: 120.0,
             update_rate_hz: 10.0,
             action_rate_hz: 0.2,
             move_bytes: 24,
             action_bytes: 40,
-            max_updates_per_flush: 128,
-            client_budget_bytes: 0,
             client_state_bytes: 600,
             global_state_bytes: 500_000,
             server_capacity: 6_000.0,
@@ -231,55 +176,16 @@ impl GameSpec {
         vec![GameSpec::bzflag(), GameSpec::quake2(), GameSpec::daimonin()]
     }
 
-    /// The effective client vision radius (falls back to `radius`).
-    /// With rings configured, the outermost ring takes this role.
-    pub fn effective_vision_radius(&self) -> f64 {
-        if let Some(outer) = self.ring_radii.last() {
-            return *outer;
-        }
-        if self.vision_radius > 0.0 {
-            self.vision_radius
-        } else {
-            self.radius
-        }
-    }
-
     /// The recommended ring tiers for this game: near (full fidelity) at
-    /// 35% of the vision radius, mid at 65% sampled 1-in-2, far at the
+    /// 35% of the effective AOI radius
+    /// ([`DisseminationConfig::ring_set`]), mid at 65% sampled 1-in-2, far at the
     /// full radius sampled 1-in-4. The receiver set is identical to the
     /// binary radius — only the outer tiers' update *rate* drops, which
-    /// is where a dense crowd's periphery bytes go.
+    /// is where a dense crowd's periphery bytes go. Feed them to
+    /// [`DisseminationConfig::with_rings`].
     pub fn ring_tiers(&self) -> (Vec<f64>, Vec<u32>) {
-        let vision = if self.vision_radius > 0.0 {
-            self.vision_radius
-        } else {
-            self.radius
-        };
+        let vision = self.dissemination.ring_set(self.radius).outer_radius();
         (vec![vision * 0.35, vision * 0.65, vision], vec![1, 2, 4])
-    }
-
-    /// This spec with the recommended ring tiers enabled (used by the
-    /// `rings` experiment; presets default to the binary radius).
-    pub fn with_rings(mut self) -> GameSpec {
-        let (radii, rates) = self.ring_tiers();
-        self.ring_radii = radii;
-        self.ring_sample_rates = rates;
-        self
-    }
-
-    /// This spec with density-driven grid auto-tuning enabled.
-    pub fn with_grid_autotune(mut self) -> GameSpec {
-        self.grid_autotune = true;
-        self
-    }
-
-    /// This spec with the dissemination flush sharded across `workers`
-    /// shards (clamped to ≥ 1). Output is byte-identical for any
-    /// value — this only changes how the flush work is partitioned
-    /// (and, under the async runtime, parallelised).
-    pub fn with_flush_workers(mut self, workers: u32) -> GameSpec {
-        self.flush_workers = workers.max(1);
-        self
     }
 
     /// The recommended wire lattice for dead-reckoning velocities:
@@ -308,7 +214,8 @@ impl GameSpec {
     /// tiers: 0 for the near ring (every event), and 5% of each outer
     /// ring's radius beyond it — an error far below what that ring's
     /// own sampling rate already tolerates, scaled to how closely the
-    /// player scrutinises each tier.
+    /// player scrutinises each tier. Feed them to
+    /// [`DisseminationConfig::with_predict`].
     pub fn recommended_error_budgets(&self) -> Vec<f64> {
         let (radii, _) = self.ring_tiers();
         radii
@@ -316,20 +223,6 @@ impl GameSpec {
             .enumerate()
             .map(|(i, r)| if i == 0 { 0.0 } else { r * 0.05 })
             .collect()
-    }
-
-    /// This spec with predictive dissemination enabled on the
-    /// recommended ring tiers and error budgets (used by the `predict`
-    /// experiment; presets default to prediction off). Rings are
-    /// enabled too if they were not already — prediction's budgets are
-    /// per ring.
-    pub fn with_predict(mut self) -> GameSpec {
-        if self.ring_radii.is_empty() {
-            self = self.with_rings();
-        }
-        self.predict = true;
-        self.error_budgets = self.recommended_error_budgets();
-        self
     }
 
     /// Interval between a client's position updates.
@@ -373,12 +266,17 @@ impl GameSpec {
 mod tests {
     use super::*;
 
+    /// The effective client AOI radius the game server will use.
+    fn aoi(spec: &GameSpec) -> f64 {
+        spec.dissemination.ring_set(spec.radius).outer_radius()
+    }
+
     #[test]
     fn presets_have_sane_shapes() {
         for spec in GameSpec::all() {
             assert!(spec.radius > 0.0, "{}", spec.name);
             assert!(
-                spec.effective_vision_radius() <= spec.radius,
+                aoi(&spec) <= spec.radius,
                 "{}: clients must not see beyond the consistency radius",
                 spec.name
             );
@@ -399,34 +297,41 @@ mod tests {
     fn presets_bound_per_client_dissemination() {
         for spec in GameSpec::all() {
             assert!(
-                spec.max_updates_per_flush > 0,
+                spec.dissemination.max_updates_per_flush > 0,
                 "{}: dense crowds need a per-flush cap to degrade gracefully",
                 spec.name
             );
         }
         // Faster-paced games tolerate more items per flush.
         assert!(
-            GameSpec::quake2().max_updates_per_flush > GameSpec::daimonin().max_updates_per_flush
+            GameSpec::quake2().dissemination.max_updates_per_flush
+                > GameSpec::daimonin().dissemination.max_updates_per_flush
         );
     }
 
     #[test]
     fn ring_tiers_are_ascending_and_preserve_the_aoi() {
         for spec in GameSpec::all() {
-            let binary_vision = spec.effective_vision_radius();
-            let ringed = spec.clone().with_rings();
-            let (radii, rates) = (ringed.ring_radii.clone(), ringed.ring_sample_rates.clone());
+            let (radii, rates) = spec.ring_tiers();
             assert_eq!(radii.len(), rates.len(), "{}", spec.name);
             assert!(
                 radii.windows(2).all(|w| w[0] < w[1]),
                 "{}: tiers ascend",
                 spec.name
             );
+            let mut ringed = spec.clone();
+            ringed.dissemination = spec.dissemination.with_rings(&radii, &rates);
             assert_eq!(
-                ringed.effective_vision_radius(),
-                binary_vision,
+                aoi(&ringed),
+                aoi(&spec),
                 "{}: the outermost ring preserves the AOI, so the \
                  receiver set is unchanged — only fidelity tiers",
+                spec.name
+            );
+            assert_eq!(
+                ringed.ring_tiers(),
+                (radii, rates.clone()),
+                "{}: tiers derive from the effective AOI",
                 spec.name
             );
             assert_eq!(rates[0], 1, "{}: near ring delivers in full", spec.name);
@@ -441,17 +346,12 @@ mod tests {
     #[test]
     fn presets_default_to_the_binary_radius() {
         for spec in GameSpec::all() {
-            assert!(spec.ring_radii.is_empty(), "{}", spec.name);
-            assert!(!spec.grid_autotune, "{}", spec.name);
-            assert!(!spec.predict, "{}: prediction is opt-in", spec.name);
-            assert_eq!(spec.flush_workers, 1, "{}: sharding is opt-in", spec.name);
+            let d = spec.dissemination;
+            assert_eq!(d.rings, None, "{}", spec.name);
+            assert_eq!(d.vision_radius, spec.radius, "{}", spec.name);
+            assert!(!d.grid_autotune, "{}", spec.name);
+            assert!(!d.predict, "{}: prediction is opt-in", spec.name);
         }
-        assert_eq!(
-            GameSpec::bzflag().with_flush_workers(0).flush_workers,
-            1,
-            "worker counts clamp to at least one shard"
-        );
-        assert_eq!(GameSpec::bzflag().with_flush_workers(4).flush_workers, 4);
     }
 
     #[test]
@@ -463,31 +363,32 @@ mod tests {
         );
         assert!(spec.update_rate_hz >= 10.0);
         assert!(spec.world.contains(spec.hotspot_a()));
-        assert!(spec.effective_vision_radius() <= spec.radius);
+        assert!(aoi(&spec) <= spec.radius);
         assert!(!GameSpec::all().iter().any(|s| s.name == "racer"));
     }
 
     #[test]
     fn with_predict_enables_rings_and_pins_the_near_budget() {
-        let spec = GameSpec::racer().with_predict();
-        assert!(spec.predict);
-        assert_eq!(spec.error_budgets.len(), spec.ring_radii.len());
-        assert_eq!(spec.error_budgets[0], 0.0, "near ring: every event");
+        let spec = GameSpec::racer();
+        let (radii, _) = spec.ring_tiers();
+        let budgets = spec.recommended_error_budgets();
+        let d = spec
+            .dissemination
+            .with_rings(&radii, &[])
+            .with_predict(&budgets);
+        assert!(d.predict);
+        assert_eq!(d.ring_set(spec.radius).len(), radii.len());
+        assert_eq!(budgets.len(), radii.len());
+        assert_eq!(d.budget_for(0), 0.0, "near ring: every event");
         assert!(
-            spec.error_budgets[1..].iter().all(|b| *b > 0.0),
-            "outer rings get real budgets: {:?}",
-            spec.error_budgets
+            budgets[1..].iter().all(|b| *b > 0.0),
+            "outer rings get real budgets: {budgets:?}"
         );
+        assert_eq!(d.error_budgets[..budgets.len()], budgets[..]);
         // Budgets stay far below the ring radii they grade.
-        for (b, r) in spec.error_budgets.iter().zip(&spec.ring_radii) {
+        for (b, r) in budgets.iter().zip(&radii) {
             assert!(b < r, "budget {b} must be small against ring {r}");
         }
-        // Rings already configured are kept.
-        let custom = GameSpec::bzflag().with_rings().with_predict();
-        assert_eq!(
-            custom.ring_radii,
-            GameSpec::bzflag().with_rings().ring_radii
-        );
     }
 
     #[test]

@@ -41,13 +41,16 @@
 //!   [`MotionModel`] estimates per-entity velocity, a
 //!   [`PredictedStream`] simulates each receiver's extrapolation and
 //!   suppresses events while the predicted error stays within the
-//!   ring's budget ([`PredictorConfig`]), and the receiver-side
+//!   ring's budget ([`DisseminationConfig::error_budgets`]), and the receiver-side
 //!   [`Extrapolator`] advances entities between updates.
 //! * [`DisseminationPipeline`] — the composed send path with one seam
 //!   per stage: interest query → ring tiering → prediction →
 //!   entity merge → budget/relevance policy → delta encoding. Both
 //!   drivers (the discrete-event harness and the async runtime) flush
 //!   through it.
+//! * [`DisseminationConfig`] — every per-game dissemination knob in one
+//!   `Copy` struct, embedded by value in the game-server config and the
+//!   game specs and read directly by the pipeline.
 //!
 //! All of it is deliberately independent of the middleware's message
 //! types: the grid is generic over the subscriber key, the batcher and
@@ -61,6 +64,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod config;
 mod delta;
 mod grid;
 mod pipeline;
@@ -70,16 +74,16 @@ mod shard;
 mod tuner;
 
 pub use batch::UpdateBatcher;
+pub use config::DisseminationConfig;
 pub use delta::{quantize, DeltaEncoder, DeltaStream, EncodedOrigin};
 pub use grid::InterestGrid;
 pub use matrix_predict::{
     extrapolate, quantize_velocity, Admission, Basis, Extrapolator, MotionModel, PredictedStream,
 };
 pub use pipeline::{
-    DisseminateStats, Disseminated, DisseminationPipeline, FlushBatch, FlushOutcome,
-    PipelineConfig, PredictorConfig,
+    DisseminateStats, Disseminated, DisseminationPipeline, FlushBatch, FlushOutcome, PipelineConfig,
 };
 pub use policy::{FlushPolicy, Selection, ANON_ENTITY};
 pub use rings::{RingSampler, RingSet, MAX_RINGS};
 pub use shard::{shard_of, ShardKey};
-pub use tuner::{AutoTuner, AutoTunerConfig};
+pub use tuner::AutoTuner;

@@ -64,12 +64,13 @@
 //! down, which is what makes this refactor safe to sit under both the
 //! discrete-event harness and the async runtime.
 
+use crate::config::DisseminationConfig;
 use crate::delta::{DeltaEncoder, EncodedOrigin};
 use crate::grid::InterestGrid;
 use crate::policy::{FlushPolicy, ANON_ENTITY};
-use crate::rings::{RingSampler, RingSet, MAX_RINGS};
+use crate::rings::{RingSampler, RingSet};
 use crate::shard::{shard_of, ShardKey};
-use crate::tuner::{AutoTuner, AutoTunerConfig};
+use crate::tuner::AutoTuner;
 use crate::UpdateBatcher;
 use matrix_geometry::{Metric, Point, Rect};
 use matrix_predict::{quantize_velocity, Admission, Basis, MotionModel, PredictedStream};
@@ -97,7 +98,7 @@ pub trait Disseminated {
     /// Degrades this item to position-only: strip the game payload,
     /// keep the origin (and velocity). Applied by the pipeline to items
     /// admitted through rings at or beyond
-    /// [`PipelineConfig::position_only_ring`] — a far-ring entity's
+    /// [`DisseminationConfig::position_only_ring`] — a far-ring entity's
     /// whereabouts matter for rendering, its full state rarely does.
     /// The default is a no-op for payloads with nothing to strip.
     fn strip_payload(&mut self) {}
@@ -116,104 +117,17 @@ pub trait Disseminated {
     fn trace_charge(&mut self, _age_us: u64) {}
 }
 
-/// Configuration of the pipeline's dead-reckoning stage.
-///
-/// The error budget is an exact bound on the receiver's extrapolation
-/// error *at admission*: suppression simulates the receiver with the
-/// receiver's own arithmetic, so a suppressed event is one the
-/// receiver provably reconstructs within budget. Downstream of this
-/// stage the ordinary batching semantics apply — an admitted rebase
-/// waits out the batch interval like any item, and under count/byte
-/// cap pressure ([`FlushPolicy`]) it can be deferred to a later flush
-/// with the same staleness the rate limiter always traded. The
-/// configurations whose end-to-end error bound is verified (E15, the
-/// property suites) therefore run per-event flushes with the caps off;
-/// production deployments that cap flushes should read the budget as
-/// an admission-time bound, not a render-time one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictorConfig {
-    /// Master switch. Off (the default) keeps the pipeline byte-identical
-    /// to the pre-prediction send path: no velocities on the wire, no
-    /// suppression, no motion bookkeeping.
-    pub enabled: bool,
-    /// Per-ring receiver error budgets in world units, parallel to the
-    /// ring set (`0.0` = never suppress). The near ring (index 0) is
-    /// pinned to `0.0` regardless of this entry — near means every
-    /// event.
-    pub error_budgets: [f64; MAX_RINGS],
-    /// Sliding-window length of the per-entity velocity estimator
-    /// (observations; clamped to ≥ 2).
-    pub motion_window: u32,
-    /// Fixed-point lattice shipped velocities are snapped to, in world
-    /// units per second (`0.0` = fall back to the origin lattice).
-    /// Velocities tolerate a much coarser lattice than origins: a
-    /// quantization error of `q/2` per axis drifts the receiver by at
-    /// most `q/√2 · t` over a basis lifetime `t`, far inside any usable
-    /// ring budget — while every halving of the resolution shortens the
-    /// tag on the text codec. Keep it a power-of-two multiple of the
-    /// origin quantum so the binary codec's fixed-point field carries
-    /// the snapped value exactly.
-    pub velocity_quantum: f64,
-}
-
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        PredictorConfig {
-            enabled: false,
-            error_budgets: [0.0; MAX_RINGS],
-            motion_window: 4,
-            velocity_quantum: 0.125,
-        }
-    }
-}
-
-impl PredictorConfig {
-    /// An enabled predictor with the given per-ring budgets (missing
-    /// entries stay `0.0` = never suppress).
-    pub fn with_budgets(budgets: &[f64]) -> PredictorConfig {
-        let mut cfg = PredictorConfig {
-            enabled: true,
-            ..PredictorConfig::default()
-        };
-        for (slot, b) in cfg.error_budgets.iter_mut().zip(budgets) {
-            *slot = b.max(0.0);
-        }
-        cfg
-    }
-
-    /// The effective budget for a ring: entry clamped into the array,
-    /// with the near ring pinned to 0 (every event).
-    pub fn budget_for(&self, ring: u8) -> f64 {
-        if ring == 0 {
-            return 0.0;
-        }
-        self.error_budgets[(ring as usize).min(MAX_RINGS - 1)]
-    }
-}
-
-/// Static configuration of a pipeline (everything except the grid
-/// geometry, which arrives via [`DisseminationPipeline::reset`]).
+/// The pipeline's inputs that are not per-game dissemination knobs
+/// (those arrive as a [`DisseminationConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Distance metric for interest queries and relevance ranking.
     pub metric: Metric,
-    /// Per-client, per-flush delivery budgets (stage 3).
-    pub policy: FlushPolicy,
-    /// Delta keyframe interval (stage 4; `0` = absolute-only).
-    pub keyframe_every: u32,
     /// Fixed-point lattice the delta encoder verifies offsets against
     /// (`0.0` = no lattice requirement). Shipped velocities snap to
     /// their own, coarser lattice —
-    /// [`PredictorConfig::velocity_quantum`].
+    /// [`DisseminationConfig::velocity_quantum`].
     pub origin_quantum: f64,
-    /// Grid resolution auto-tuning (stage 1's knob).
-    pub autotune: AutoTunerConfig,
-    /// Dead-reckoning suppression (stage 3's knob).
-    pub predict: PredictorConfig,
-    /// Ring index from which items ship position-only
-    /// ([`Disseminated::strip_payload`]); `0` disables payload
-    /// degradation (the near ring always ships in full).
-    pub position_only_ring: u8,
     /// Enables the per-stage span timers
     /// ([`DisseminationPipeline::spans`]): each stage's time per flush
     /// cycle lands in a latency histogram. Off (the default), every
@@ -301,14 +215,11 @@ struct Shard<K: Ord, U> {
 #[derive(Debug, Clone)]
 pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
     metric: Metric,
-    policy: FlushPolicy,
+    knobs: DisseminationConfig,
     rings: RingSet,
     grid: InterestGrid<K>,
     tuner: AutoTuner,
-    predict: PredictorConfig,
-    position_only_ring: u8,
     vel_quantum: f64,
-    keyframe_every: u32,
     origin_quantum: f64,
     telemetry: bool,
     motion: MotionModel,
@@ -340,32 +251,30 @@ pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
 }
 
 impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipeline<K, U> {
-    /// Builds a pipeline over `bounds` at `cells_per_axis`, with the
-    /// given ring tiers and a single shard (the sequential path).
+    /// Builds a pipeline over `bounds` from the dissemination knobs,
+    /// with a single shard (the sequential path). Until
+    /// [`DisseminationPipeline::reset`] supplies a registered radius,
+    /// the area of interest is `knobs.ring_set(0.0)`.
     pub fn new(
         bounds: Rect,
-        cells_per_axis: u32,
-        rings: RingSet,
+        knobs: DisseminationConfig,
         cfg: PipelineConfig,
     ) -> DisseminationPipeline<K, U> {
-        let cells = cells_per_axis.max(1);
+        let cells = knobs.cells_per_axis.max(1);
         let mut p = DisseminationPipeline {
             metric: cfg.metric,
-            policy: cfg.policy,
-            rings,
+            knobs,
+            rings: knobs.ring_set(0.0),
             grid: Self::make_grid(bounds, cells),
-            tuner: AutoTuner::new(cfg.autotune, cells),
-            predict: cfg.predict,
-            position_only_ring: cfg.position_only_ring,
-            vel_quantum: if cfg.predict.velocity_quantum > 0.0 {
-                cfg.predict.velocity_quantum
+            tuner: AutoTuner::new(knobs.grid_autotune, cells),
+            vel_quantum: if knobs.velocity_quantum > 0.0 {
+                knobs.velocity_quantum
             } else {
                 cfg.origin_quantum
             },
-            keyframe_every: cfg.keyframe_every,
             origin_quantum: cfg.origin_quantum,
             telemetry: cfg.telemetry,
-            motion: MotionModel::new(cfg.predict.motion_window),
+            motion: MotionModel::new(knobs.motion_window),
             spans: StageSpans::new(cfg.telemetry),
             shards: Vec::new(),
             parallel: false,
@@ -437,7 +346,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         Shard {
             sampler: RingSampler::new(),
             batcher: UpdateBatcher::new(),
-            encoder: DeltaEncoder::new(self.keyframe_every).with_quantum(self.origin_quantum),
+            encoder: DeltaEncoder::new(self.knobs.keyframe_every).with_quantum(self.origin_quantum),
             predicted: PredictedStream::new(),
             spans: StageSpans::new(self.telemetry),
             charges: std::collections::HashMap::new(),
@@ -518,17 +427,20 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
 
     /// Re-anchors the grid to a new range with the given subscriber set
     /// (splits, reclaims, promotions — rare), keeping the tuned
-    /// resolution, streams and pending batches.
-    pub fn reset(&mut self, bounds: Rect, subscribers: impl IntoIterator<Item = (K, Point)>) {
+    /// resolution, streams and pending batches, and re-derives the ring
+    /// tiers for the game's `registered_radius` (which a binary
+    /// `vision_radius` of `0.0` inherits).
+    pub fn reset(
+        &mut self,
+        bounds: Rect,
+        registered_radius: f64,
+        subscribers: impl IntoIterator<Item = (K, Point)>,
+    ) {
+        self.rings = self.knobs.ring_set(registered_radius);
         self.grid = Self::make_grid(bounds, self.tuner.current());
         for (key, pos) in subscribers {
             self.grid.insert(key, pos);
         }
-    }
-
-    /// Replaces the ring tiers (the registered radius changed).
-    pub fn set_rings(&mut self, rings: RingSet) {
-        self.rings = rings;
     }
 
     /// The current ring tiers.
@@ -656,12 +568,12 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         let now_us = if charging { (now_secs * 1e6) as u64 } else { 0 };
         // Anonymous events carry no entity identity to model or to
         // extrapolate, so they bypass the prediction stage entirely.
-        let predicting = self.predict.enabled && entity != ANON_ENTITY;
+        let predicting = self.knobs.predict && entity != ANON_ENTITY;
         let vel = if predicting {
             // The model observes every event — suppressed or not — so
             // the velocity estimate tracks the true trajectory. The
             // shipped velocity sits on its own (coarser) wire lattice;
-            // see [`PredictorConfig::velocity_quantum`].
+            // see [`DisseminationConfig::velocity_quantum`].
             self.motion.observe(entity, wire_origin, now_secs);
             quantize_velocity(self.motion.velocity(entity), self.vel_quantum)
         } else {
@@ -723,7 +635,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 // always transmitted, and the transmission rebases
                 // the receiver's prediction like any other.
                 let budget = if suppressible {
-                    self.predict.budget_for(ring)
+                    self.knobs.budget_for(ring)
                 } else {
                     0.0
                 };
@@ -759,7 +671,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 }
             }
             stats.delivered += 1;
-            let strip = self.position_only_ring > 0 && ring >= self.position_only_ring;
+            let strip = self.knobs.position_only_ring > 0 && ring >= self.knobs.position_only_ring;
             if strip {
                 stats.stripped += 1;
             }
@@ -838,7 +750,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         U: Send,
     {
         let metric = self.metric;
-        let policy = self.policy;
+        let policy = self.knobs.policy();
         let charging = self.trace_charging;
         let mut outcome = FlushOutcome {
             batches: Vec::new(),
@@ -1154,22 +1066,28 @@ mod tests {
     fn cfg() -> PipelineConfig {
         PipelineConfig {
             metric: Metric::Euclidean,
-            policy: FlushPolicy::unlimited(),
-            keyframe_every: 8,
             origin_quantum: 0.0,
-            autotune: AutoTunerConfig::default(),
-            predict: PredictorConfig::default(),
-            position_only_ring: 0,
             telemetry: false,
         }
+    }
+
+    /// Unit-suite knobs: a 16-cell grid, no per-flush caps, the given
+    /// ring tiers.
+    fn knobs(radii: &[f64], rates: &[u32]) -> DisseminationConfig {
+        DisseminationConfig {
+            cells_per_axis: 16,
+            max_updates_per_flush: 0,
+            ..DisseminationConfig::default()
+        }
+        .with_rings(radii, rates)
     }
 
     fn world() -> Rect {
         Rect::from_coords(0.0, 0.0, 400.0, 400.0)
     }
 
-    fn pipe(rings: RingSet) -> DisseminationPipeline<u32, Ev> {
-        DisseminationPipeline::new(world(), 16, rings, cfg())
+    fn pipe(knobs: DisseminationConfig) -> DisseminationPipeline<u32, Ev> {
+        DisseminationPipeline::new(world(), knobs, cfg())
     }
 
     fn ev(at: Point, ring: u8) -> Ev {
@@ -1183,7 +1101,7 @@ mod tests {
 
     #[test]
     fn untiered_pipeline_delivers_to_everyone_in_radius() {
-        let mut p = pipe(RingSet::single(50.0));
+        let mut p = pipe(knobs(&[50.0], &[]));
         p.subscribe(1, Point::new(100.0, 100.0));
         p.subscribe(2, Point::new(130.0, 100.0));
         p.subscribe(3, Point::new(300.0, 300.0));
@@ -1203,7 +1121,7 @@ mod tests {
 
     #[test]
     fn outer_rings_sample_and_tag_items() {
-        let rings = RingSet::from_tiers(&[20.0, 100.0], &[1, 2]);
+        let rings = knobs(&[20.0, 100.0], &[1, 2]);
         let mut p = pipe(rings);
         p.subscribe(1, Point::new(100.0, 100.0)); // near
         p.subscribe(2, Point::new(180.0, 100.0)); // far ring, rate 2
@@ -1231,7 +1149,7 @@ mod tests {
 
     #[test]
     fn vanished_receivers_are_orphaned_not_flushed() {
-        let mut p = pipe(RingSet::single(50.0));
+        let mut p = pipe(knobs(&[50.0], &[]));
         p.subscribe(1, Point::new(100.0, 100.0));
         let origin = Point::new(110.0, 100.0);
         p.disseminate(origin, origin, 1, 0.0, true, None, true, |ring, _| {
@@ -1247,19 +1165,19 @@ mod tests {
     fn retune_preserves_subscribers_and_query_results() {
         let mut p = DisseminationPipeline::<u32, Ev>::new(
             world(),
-            8,
-            RingSet::single(50.0),
-            PipelineConfig {
-                autotune: AutoTunerConfig::enabled(),
-                ..cfg()
+            DisseminationConfig {
+                cells_per_axis: 8,
+                grid_autotune: true,
+                ..knobs(&[50.0], &[])
             },
+            cfg(),
         );
         for i in 0..2000u32 {
             p.subscribe(i, Point::new((i % 40) as f64 * 10.0, (i / 40) as f64 * 8.0));
         }
         // 2000 subscribers at 4/cell want ~22 → pow2 16; wait out the streak.
         let mut retuned = None;
-        for _ in 0..AutoTunerConfig::default().streak {
+        for _ in 0..AutoTuner::STREAK {
             retuned = p.maybe_retune();
         }
         assert_eq!(retuned, Some(16));
@@ -1274,22 +1192,22 @@ mod tests {
     fn tuner_state_round_trips_through_restore() {
         let p = DisseminationPipeline::<u32, Ev>::new(
             world(),
-            64,
-            RingSet::single(50.0),
-            PipelineConfig {
-                autotune: AutoTunerConfig::enabled(),
-                ..cfg()
+            DisseminationConfig {
+                cells_per_axis: 64,
+                grid_autotune: true,
+                ..knobs(&[50.0], &[])
             },
+            cfg(),
         );
         let (cells, streak, pending) = p.tuner_state();
         let mut q = DisseminationPipeline::<u32, Ev>::new(
             world(),
-            8,
-            RingSet::single(50.0),
-            PipelineConfig {
-                autotune: AutoTunerConfig::enabled(),
-                ..cfg()
+            DisseminationConfig {
+                cells_per_axis: 8,
+                grid_autotune: true,
+                ..knobs(&[50.0], &[])
             },
+            cfg(),
         );
         q.subscribe(1, Point::new(10.0, 10.0));
         q.restore_tuner(cells, streak, pending);
@@ -1300,16 +1218,9 @@ mod tests {
     /// A predicting pipeline over one far-ring receiver watching entity
     /// 9 move linearly at 10 u/s (events every 100 ms).
     fn predicting_pipe(budget: f64) -> DisseminationPipeline<u32, Ev> {
-        let rings = RingSet::from_tiers(&[20.0, 200.0], &[1, 1]);
-        let mut p: DisseminationPipeline<u32, Ev> = DisseminationPipeline::new(
-            world(),
-            16,
-            rings,
-            PipelineConfig {
-                predict: PredictorConfig::with_budgets(&[0.0, budget]),
-                ..cfg()
-            },
-        );
+        let rings = knobs(&[20.0, 200.0], &[1, 1]);
+        let mut p: DisseminationPipeline<u32, Ev> =
+            DisseminationPipeline::new(world(), rings.with_predict(&[0.0, budget]), cfg());
         p.subscribe(1, Point::new(100.0, 300.0)); // far ring from the track below
         p
     }
@@ -1354,9 +1265,9 @@ mod tests {
         assert_eq!(stats.suppressed, 0);
         assert_eq!(stats.delivered, 10);
         // Predict off entirely: identical delivery, no bases kept.
-        let rings = RingSet::from_tiers(&[20.0, 200.0], &[1, 1]);
+        let rings = knobs(&[20.0, 200.0], &[1, 1]);
         let mut q: DisseminationPipeline<u32, Ev> =
-            DisseminationPipeline::new(world(), 16, rings, cfg());
+            DisseminationPipeline::new(world(), rings, cfg());
         q.subscribe(1, Point::new(100.0, 300.0));
         let stats = drive_linear(&mut q, 10);
         assert_eq!(stats.suppressed, 0);
@@ -1365,17 +1276,10 @@ mod tests {
 
     #[test]
     fn near_ring_budget_is_pinned_to_zero() {
-        let rings = RingSet::from_tiers(&[50.0, 200.0], &[1, 1]);
-        let mut p: DisseminationPipeline<u32, Ev> = DisseminationPipeline::new(
-            world(),
-            16,
-            rings,
-            PipelineConfig {
-                // A (misconfigured) near budget must be ignored.
-                predict: PredictorConfig::with_budgets(&[100.0, 100.0]),
-                ..cfg()
-            },
-        );
+        // A (misconfigured) near budget must be ignored.
+        let rings = knobs(&[50.0, 200.0], &[1, 1]).with_predict(&[100.0, 100.0]);
+        let mut p: DisseminationPipeline<u32, Ev> =
+            DisseminationPipeline::new(world(), rings, cfg());
         p.subscribe(1, Point::new(110.0, 200.0)); // near ring
         let stats = drive_linear(&mut p, 10);
         assert_eq!(stats.suppressed, 0, "near means every event");
@@ -1419,15 +1323,14 @@ mod tests {
 
     #[test]
     fn outer_ring_items_ship_position_only() {
-        let rings = RingSet::from_tiers(&[20.0, 100.0], &[1, 1]);
+        let rings = knobs(&[20.0, 100.0], &[1, 1]);
         let mut p: DisseminationPipeline<u32, Ev> = DisseminationPipeline::new(
             world(),
-            16,
-            rings,
-            PipelineConfig {
+            DisseminationConfig {
                 position_only_ring: 1,
-                ..cfg()
+                ..rings
             },
+            cfg(),
         );
         p.subscribe(1, Point::new(100.0, 100.0)); // near
         p.subscribe(2, Point::new(180.0, 100.0)); // far
@@ -1506,18 +1409,15 @@ mod tests {
 
     #[test]
     fn flush_output_is_byte_identical_for_any_shard_count() {
-        let rings = RingSet::from_tiers(&[40.0, 90.0, 150.0], &[1, 2, 4]);
+        let rings = knobs(&[40.0, 90.0, 150.0], &[1, 2, 4]);
+        let knobs = DisseminationConfig {
+            max_updates_per_flush: 6,
+            client_budget_bytes: 200,
+            position_only_ring: 2,
+            ..rings.with_predict(&[0.0, 1.5, 3.0])
+        };
         let make = |shards: u32| {
-            let cfg = PipelineConfig {
-                policy: FlushPolicy {
-                    max_items: 6,
-                    budget_bytes: 200,
-                },
-                predict: PredictorConfig::with_budgets(&[0.0, 1.5, 3.0]),
-                position_only_ring: 2,
-                ..cfg()
-            };
-            DisseminationPipeline::<u32, Ev>::new(world(), 16, rings, cfg).with_shards(shards)
+            DisseminationPipeline::<u32, Ev>::new(world(), knobs, cfg()).with_shards(shards)
         };
         let mut reference = make(1);
         let baseline = drive_workload(&mut reference);
@@ -1534,10 +1434,9 @@ mod tests {
 
     #[test]
     fn parallel_flush_matches_the_sequential_path() {
-        let rings = RingSet::from_tiers(&[40.0, 150.0], &[1, 2]);
-        let mut seq =
-            DisseminationPipeline::<u32, Ev>::new(world(), 16, rings, cfg()).with_shards(4);
-        let mut par = DisseminationPipeline::<u32, Ev>::new(world(), 16, rings, cfg())
+        let rings = knobs(&[40.0, 150.0], &[1, 2]);
+        let mut seq = DisseminationPipeline::<u32, Ev>::new(world(), rings, cfg()).with_shards(4);
+        let mut par = DisseminationPipeline::<u32, Ev>::new(world(), rings, cfg())
             .with_shards(4)
             .with_parallel_flush();
         assert!(par.parallel_flush());
@@ -1546,18 +1445,10 @@ mod tests {
 
     #[test]
     fn exports_reroute_across_differing_shard_counts() {
-        let rings = RingSet::from_tiers(&[20.0, 200.0], &[1, 1]);
+        let rings = knobs(&[20.0, 200.0], &[1, 1]);
         let make = |shards: u32| {
-            DisseminationPipeline::<u32, Ev>::new(
-                world(),
-                16,
-                rings,
-                PipelineConfig {
-                    predict: PredictorConfig::with_budgets(&[0.0, 2.0]),
-                    ..cfg()
-                },
-            )
-            .with_shards(shards)
+            DisseminationPipeline::<u32, Ev>::new(world(), rings.with_predict(&[0.0, 2.0]), cfg())
+                .with_shards(shards)
         };
         let mut primary = make(4);
         for k in 0..12u32 {
@@ -1574,7 +1465,7 @@ mod tests {
         // gameserver restore flow: re-anchor the grid, then import).
         let mut standby = make(2);
         let subs: Vec<(u32, Point)> = primary.grid().subscribers().collect();
-        standby.reset(world(), subs);
+        standby.reset(world(), 0.0, subs);
         standby.import_streams(primary.export_streams());
         standby.import_bases(primary.export_bases());
         assert_eq!(standby.streams(), primary.streams());
@@ -1593,10 +1484,9 @@ mod tests {
 
     #[test]
     fn stage_histograms_merge_across_shards() {
-        let rings = RingSet::single(150.0);
+        let rings = knobs(&[150.0], &[]);
         let mut p = DisseminationPipeline::<u32, Ev>::new(
             world(),
-            16,
             rings,
             PipelineConfig {
                 telemetry: true,
@@ -1662,17 +1552,10 @@ mod tests {
 
     #[test]
     fn suppressed_events_charge_the_next_delivered_rebase() {
-        let rings = RingSet::from_tiers(&[20.0, 200.0], &[1, 1]);
-        let mut p: DisseminationPipeline<u32, Tr> = DisseminationPipeline::new(
-            world(),
-            16,
-            rings,
-            PipelineConfig {
-                predict: PredictorConfig::with_budgets(&[0.0, 2.0]),
-                ..cfg()
-            },
-        )
-        .with_trace_charging();
+        let rings = knobs(&[20.0, 200.0], &[1, 1]);
+        let mut p: DisseminationPipeline<u32, Tr> =
+            DisseminationPipeline::new(world(), rings.with_predict(&[0.0, 2.0]), cfg())
+                .with_trace_charging();
         assert!(p.trace_charging());
         p.subscribe(1, Point::new(100.0, 300.0)); // far ring
         let mut first_gap_us: Option<u64> = None;
@@ -1717,15 +1600,12 @@ mod tests {
     fn policy_dropped_traces_recharge_a_later_flush() {
         let mut p: DisseminationPipeline<u32, Tr> = DisseminationPipeline::new(
             world(),
-            16,
-            RingSet::single(150.0),
-            PipelineConfig {
-                policy: FlushPolicy {
-                    max_items: 1,
-                    budget_bytes: 0,
-                },
-                ..cfg()
+            DisseminationConfig {
+                max_updates_per_flush: 1,
+                client_budget_bytes: 0,
+                ..knobs(&[150.0], &[])
             },
+            cfg(),
         )
         .with_trace_charging();
         p.subscribe(1, Point::new(100.0, 100.0));

@@ -7,18 +7,20 @@
 //! magnitude over a region's life (a freshly split child starts near
 //! empty; a flash crowd packs thousands in). [`AutoTuner`] closes that
 //! loop: it watches the subscriber count and re-picks the resolution so
-//! the average cell holds roughly `target_per_cell` subscribers.
+//! the average cell holds roughly [`AutoTuner::TARGET_PER_CELL`]
+//! subscribers. The only switch is `grid_autotune`; the guard constants
+//! below are fixed.
 //!
 //! Two guards keep it from thrashing, mirroring the middleware's own
 //! anti-oscillation heuristics (§3.2.3 of the paper):
 //!
 //! * **ratio hysteresis** — a retune is only *proposed* when the ideal
 //!   resolution differs from the current one by at least
-//!   `hysteresis` (default 1.5×). Resolutions are quantised to powers of
+//!   [`AutoTuner::HYSTERESIS`] (1.5×). Resolutions are quantised to powers of
 //!   two, and the proposal threshold sits strictly inside the
 //!   quantisation band (√2 ≈ 1.41 < 1.5), so density jitter around a
 //!   rounding boundary can never flip the choice;
-//! * **streak** — the proposal must repeat on `streak` consecutive
+//! * **streak** — the proposal must repeat on [`AutoTuner::STREAK`] consecutive
 //!   observations before the grid is actually rebuilt (rebuilds
 //!   re-index every subscriber, so they are rare by design).
 //!
@@ -28,73 +30,11 @@
 //! server inherits the tuned grid instead of re-learning the density
 //! from the configured default.
 
-/// Configuration of the grid auto-tuner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoTunerConfig {
-    /// Whether the tuner may retune at all (`false` = observe-only).
-    pub enabled: bool,
-    /// Desired average subscribers per grid cell at uniform density.
-    pub target_per_cell: f64,
-    /// Lower bound on `cells_per_axis`.
-    pub min_cells: u32,
-    /// Upper bound on `cells_per_axis`.
-    pub max_cells: u32,
-    /// Minimum ratio between the ideal and current resolution before a
-    /// retune is proposed (must exceed √2, the power-of-two rounding
-    /// half-band, for the hysteresis to be real).
-    pub hysteresis: f64,
-    /// Consecutive agreeing observations required before retuning.
-    pub streak: u32,
-}
-
-impl Default for AutoTunerConfig {
-    fn default() -> Self {
-        AutoTunerConfig {
-            enabled: false,
-            target_per_cell: 4.0,
-            min_cells: 8,
-            max_cells: 256,
-            hysteresis: 1.5,
-            streak: 3,
-        }
-    }
-}
-
-impl AutoTunerConfig {
-    /// An enabled tuner with the default density targets.
-    pub fn enabled() -> AutoTunerConfig {
-        AutoTunerConfig {
-            enabled: true,
-            ..AutoTunerConfig::default()
-        }
-    }
-
-    /// The ideal (unquantised) cells-per-axis for a subscriber count:
-    /// the axis resolution at which the average cell holds
-    /// `target_per_cell` subscribers.
-    fn ideal(&self, subscribers: usize) -> f64 {
-        (subscribers as f64 / self.target_per_cell.max(f64::MIN_POSITIVE))
-            .sqrt()
-            .max(1.0)
-    }
-
-    /// The resolution the tuner would steady-state at for a subscriber
-    /// count: the ideal axis quantised to the nearest power of two and
-    /// clamped to the configured bounds. Pure — benchmarks use it to
-    /// build "as-tuned" grids without running the observation loop.
-    pub fn cells_for(&self, subscribers: usize) -> u32 {
-        let ideal = self.ideal(subscribers);
-        let exp = ideal.log2().round().clamp(0.0, 30.0);
-        let pow2 = 1u32 << (exp as u32);
-        pow2.clamp(self.min_cells.max(1), self.max_cells.max(1))
-    }
-}
-
 /// The observation loop: feed it subscriber counts, rebuild the grid
 /// when it says so.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoTuner {
-    cfg: AutoTunerConfig,
+    enabled: bool,
     current: u32,
     /// The resolution the in-flight streak agrees on (`0` = none).
     pending: u32,
@@ -102,14 +42,45 @@ pub struct AutoTuner {
 }
 
 impl AutoTuner {
-    /// A tuner starting from the configured static resolution.
-    pub fn new(cfg: AutoTunerConfig, initial_cells: u32) -> AutoTuner {
+    /// Desired average subscribers per grid cell at uniform density.
+    pub const TARGET_PER_CELL: f64 = 4.0;
+    /// Lower bound on `cells_per_axis`.
+    pub const MIN_CELLS: u32 = 8;
+    /// Upper bound on `cells_per_axis`.
+    pub const MAX_CELLS: u32 = 256;
+    /// Minimum ratio between the ideal and current resolution before a
+    /// retune is proposed (it exceeds √2, the power-of-two rounding
+    /// half-band, so the hysteresis is real).
+    pub const HYSTERESIS: f64 = 1.5;
+    /// Consecutive agreeing observations required before retuning.
+    pub const STREAK: u32 = 3;
+
+    /// A tuner starting from the configured static resolution; a
+    /// disabled one only observes.
+    pub fn new(enabled: bool, initial_cells: u32) -> AutoTuner {
         AutoTuner {
-            cfg,
+            enabled,
             current: initial_cells.max(1),
             pending: 0,
             streak: 0,
         }
+    }
+
+    /// The ideal (unquantised) cells-per-axis for a subscriber count:
+    /// the axis resolution at which the average cell holds
+    /// [`AutoTuner::TARGET_PER_CELL`] subscribers.
+    fn ideal(subscribers: usize) -> f64 {
+        (subscribers as f64 / Self::TARGET_PER_CELL).sqrt().max(1.0)
+    }
+
+    /// The resolution the tuner would steady-state at for a subscriber
+    /// count: the ideal axis quantised to the nearest power of two and
+    /// clamped to [`AutoTuner::MIN_CELLS`]..=[`AutoTuner::MAX_CELLS`].
+    /// Pure — benchmarks use it to build "as-tuned" grids without
+    /// running the observation loop.
+    pub fn cells_for(subscribers: usize) -> u32 {
+        let exp = Self::ideal(subscribers).log2().round().clamp(0.0, 30.0);
+        (1u32 << (exp as u32)).clamp(Self::MIN_CELLS, Self::MAX_CELLS)
     }
 
     /// The resolution the tuner currently stands behind.
@@ -119,25 +90,24 @@ impl AutoTuner {
 
     /// Whether retuning is enabled.
     pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled
+        self.enabled
     }
 
     /// Feeds one density observation. Returns `Some(new_cells)` when the
     /// caller should rebuild the grid at the new resolution — i.e. when
-    /// `streak` consecutive observations were decisive (ideal outside
+    /// [`AutoTuner::STREAK`] consecutive observations were decisive (ideal outside
     /// the hysteresis band) **and agreed on the same target**. An
     /// observation proposing a different target restarts the streak at
     /// it, so density oscillating between two regimes keeps resetting
     /// the count instead of accumulating towards alternating rebuilds.
     pub fn observe(&mut self, subscribers: usize) -> Option<u32> {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return None;
         }
-        let ideal = self.cfg.ideal(subscribers);
+        let ideal = Self::ideal(subscribers);
         let current = self.current as f64;
-        let decisive =
-            ideal >= current * self.cfg.hysteresis || ideal <= current / self.cfg.hysteresis;
-        let want = self.cfg.cells_for(subscribers);
+        let decisive = ideal >= current * Self::HYSTERESIS || ideal <= current / Self::HYSTERESIS;
+        let want = Self::cells_for(subscribers);
         if !decisive || want == self.current {
             self.pending = 0;
             self.streak = 0;
@@ -149,7 +119,7 @@ impl AutoTuner {
             self.pending = want;
             self.streak = 1;
         }
-        if self.streak < self.cfg.streak.max(1) {
+        if self.streak < Self::STREAK {
             return None;
         }
         self.pending = 0;
@@ -165,8 +135,8 @@ impl AutoTuner {
     }
 
     /// Restores previously exported state (the promoted-standby path).
-    /// The config stays the local one; only the learned resolution and
-    /// the in-flight streak/target are adopted.
+    /// The enable switch stays the local one; only the learned
+    /// resolution and the in-flight streak/target are adopted.
     pub fn restore(&mut self, current: u32, streak: u32, pending: u32) {
         self.current = current.max(1);
         self.streak = streak;
@@ -179,12 +149,12 @@ mod tests {
     use super::*;
 
     fn tuner(initial: u32) -> AutoTuner {
-        AutoTuner::new(AutoTunerConfig::enabled(), initial)
+        AutoTuner::new(true, initial)
     }
 
     #[test]
     fn disabled_tuner_never_retunes() {
-        let mut t = AutoTuner::new(AutoTunerConfig::default(), 32);
+        let mut t = AutoTuner::new(false, 32);
         for n in [0usize, 10, 10_000, 1_000_000] {
             assert_eq!(t.observe(n), None);
         }
@@ -196,7 +166,7 @@ mod tests {
         let mut t = tuner(8);
         // 10_000 subscribers at 4/cell want a 64-cell axis wall to wall.
         let mut changed = None;
-        for _ in 0..AutoTunerConfig::default().streak {
+        for _ in 0..AutoTuner::STREAK {
             changed = t.observe(10_000);
         }
         assert_eq!(changed, Some(64));
@@ -214,7 +184,7 @@ mod tests {
         for _ in 0..3 {
             changed = t.observe(0);
         }
-        assert_eq!(changed, Some(AutoTunerConfig::default().min_cells));
+        assert_eq!(changed, Some(AutoTuner::MIN_CELLS));
     }
 
     #[test]
@@ -240,11 +210,10 @@ mod tests {
 
     #[test]
     fn bounds_are_respected() {
-        let cfg = AutoTunerConfig::enabled();
-        assert_eq!(cfg.cells_for(0), cfg.min_cells);
-        assert_eq!(cfg.cells_for(usize::MAX / 4), cfg.max_cells);
-        let mid = cfg.cells_for(4_096);
-        assert!(mid >= cfg.min_cells && mid <= cfg.max_cells);
+        assert_eq!(AutoTuner::cells_for(0), AutoTuner::MIN_CELLS);
+        assert_eq!(AutoTuner::cells_for(usize::MAX / 4), AutoTuner::MAX_CELLS);
+        let mid = AutoTuner::cells_for(4_096);
+        assert!((AutoTuner::MIN_CELLS..=AutoTuner::MAX_CELLS).contains(&mid));
         assert_eq!(mid, 32);
     }
 

@@ -31,7 +31,7 @@
 //! key and independent of the middleware's message taxonomy:
 //! `matrix-core` instantiates it with `ClientId`, wraps batches in
 //! protocol messages, and gives them a versioned wire form in
-//! `matrix_core::codec`.
+//! `matrix_core::codec_v2`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -88,7 +88,7 @@ pub struct TunerState {
 /// The snapshot is plain data — applying it to a node and re-deriving
 /// the node's interest grid from the client positions reproduces the
 /// region observably (client set, receiver sets, next flush). The wire
-/// form lives in `matrix_core::codec` and carries
+/// form lives in `matrix_core::codec_v2` and carries
 /// [`RegionSnapshot::VERSION`] so incompatible peers fail loudly
 /// instead of mis-decoding.
 #[derive(Debug, Clone, PartialEq)]

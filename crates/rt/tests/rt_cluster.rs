@@ -180,8 +180,8 @@ async fn parallel_flush_loses_and_duplicates_nothing_under_churn() {
     cfg.game.tick = SimDuration::from_millis(20);
     // Unlimited per-flush budgets: rate limiting would merge or defer
     // items and break exact accounting.
-    cfg.game.max_updates_per_flush = 0;
-    cfg.game.client_budget_bytes = 0;
+    cfg.game.dissemination.max_updates_per_flush = 0;
+    cfg.game.dissemination.client_budget_bytes = 0;
     let cluster = RtCluster::start(cfg).await;
 
     // A mutually visible crowd: everyone within the 100-unit radius.
@@ -559,7 +559,10 @@ async fn ring_tagged_updates_cross_the_real_wire() {
     // client's counters attribute them as far items.
     let mut cfg = RtConfig::default();
     // Rings over the 100-unit vision radius: near 35, mid 65, far 100.
-    cfg.game.set_rings(&[35.0, 65.0, 100.0], &[1, 2, 4]);
+    cfg.game.dissemination = cfg
+        .game
+        .dissemination
+        .with_rings(&[35.0, 65.0, 100.0], &[1, 2, 4]);
     let cluster = RtCluster::start(cfg).await;
     let addr = wire::spawn_gateway(
         "127.0.0.1:0",

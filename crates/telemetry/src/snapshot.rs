@@ -57,7 +57,7 @@ impl HistSnapshot {
 /// One node's telemetry at a point in time: named counters, histogram
 /// snapshots and flight-recorder occupancy. Rides load reports and
 /// heartbeats to the coordinator; crosses the real wire in the
-/// `matrix-rt` stats reply (`matrix_core::codec`).
+/// `matrix-rt` stats reply (`matrix_core::codec_v2`).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Monotone counters, name-ascending once assembled.

@@ -52,9 +52,11 @@ async fn main() {
     cfg.game.telemetry = telemetry;
     if predict {
         cfg.game.batch_interval = SimDuration::from_millis(0);
-        cfg.game.predict = true;
-        cfg.game.set_rings(&[30.0, 150.0], &[1, 1]);
-        cfg.game.set_error_budgets(&[0.0, 5.0]);
+        cfg.game.dissemination = cfg
+            .game
+            .dissemination
+            .with_rings(&[30.0, 150.0], &[1, 1])
+            .with_predict(&[0.0, 5.0]);
         println!("dead reckoning ON: rings 30/150, outer error budget 5.0");
     }
     let opts = wire::GatewayOptions::from_config(&cfg.game);

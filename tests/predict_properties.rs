@@ -31,8 +31,8 @@
 
 use matrix_middleware::core::codec_v2::{self, Frame, FrameMeta, FrameStatus};
 use matrix_middleware::core::{
-    quantize, reconstruct_updates, ClientId, ClientToGame, Extrapolator, GameAction,
-    GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
+    quantize, reconstruct_updates, ClientId, ClientToGame, DisseminationConfig, Extrapolator,
+    GameAction, GameServerConfig, GameServerNode, GameToClient, RingSet, ServerId,
 };
 use matrix_middleware::geometry::{Point, Rect};
 use matrix_middleware::predict::{extrapolate, Admission, PredictedStream};
@@ -147,15 +147,17 @@ fn suppression_never_exceeds_the_ring_budget_end_to_end() {
         let world = Rect::from_coords(0.0, 0.0, 800.0, 800.0);
         let radii = [rng.uniform(20.0, 60.0), rng.uniform(120.0, 300.0)];
         let budgets = [0.0, rng.uniform(0.5, 8.0)];
-        let mut cfg = GameServerConfig {
-            predict: true,
+        let cfg = GameServerConfig {
+            dissemination: DisseminationConfig {
+                motion_window: rng.uniform_u64(2, 7) as u32,
+                ..DisseminationConfig::default()
+            }
+            .with_rings(&radii, &[1, 1])
+            .with_predict(&budgets),
             emit_updates: true,
             batch_interval: SimDuration::from_millis(0),
-            motion_window: rng.uniform_u64(2, 7) as u32,
             ..GameServerConfig::default()
         };
-        cfg.set_rings(&radii, &[1, 1]);
-        cfg.set_error_budgets(&budgets);
         let rings = RingSet::from_tiers(&radii, &[1, 1]);
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
         node.register(world, radii[1]);
@@ -320,24 +322,29 @@ fn predict_off_leaves_the_wire_in_the_pr4_grammar() {
     let mut rng = SimRng::seed_from_u64(0x0FF0FF);
     for case in 0..10 {
         let world = Rect::from_coords(0.0, 0.0, 800.0, 800.0);
-        let mut cfg = GameServerConfig {
-            emit_updates: true,
-            batch_interval: if rng.chance(0.3) {
-                SimDuration::from_millis(0)
-            } else {
-                SimDuration::from_millis(50)
-            },
-            // Deliberately poisoned predictor knobs: they must be inert
-            // while `predict` stays false.
-            motion_window: rng.uniform_u64(2, 9) as u32,
-            ..GameServerConfig::default()
+        let batch_interval = if rng.chance(0.3) {
+            SimDuration::from_millis(0)
+        } else {
+            SimDuration::from_millis(50)
         };
-        cfg.set_rings(
+        // Deliberately poisoned predictor knobs: they must be inert
+        // while `predict` stays false.
+        let mut dissemination = DisseminationConfig {
+            motion_window: rng.uniform_u64(2, 9) as u32,
+            ..DisseminationConfig::default()
+        }
+        .with_rings(
             &[rng.uniform(20.0, 60.0), rng.uniform(100.0, 200.0)],
             &[1, rng.uniform_u64(1, 4) as u32],
         );
-        cfg.set_error_budgets(&[0.0, rng.uniform(1.0, 50.0)]);
-        assert!(!cfg.predict);
+        dissemination.error_budgets[1] = rng.uniform(1.0, 50.0);
+        let cfg = GameServerConfig {
+            dissemination,
+            emit_updates: true,
+            batch_interval,
+            ..GameServerConfig::default()
+        };
+        assert!(!cfg.dissemination.predict);
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
         node.register(world, 200.0);
         for id in 0..8u64 {

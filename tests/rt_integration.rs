@@ -100,9 +100,11 @@ async fn predicted_entities_extrapolate_between_updates() {
     // are rendered from extrapolation instead of the wire.
     let mut cfg = RtConfig::default();
     cfg.game.batch_interval = SimDuration::from_millis(0);
-    cfg.game.predict = true;
-    cfg.game.set_rings(&[30.0, 150.0], &[1, 1]);
-    cfg.game.set_error_budgets(&[0.0, 5.0]);
+    cfg.game.dissemination = cfg
+        .game
+        .dissemination
+        .with_rings(&[30.0, 150.0], &[1, 1])
+        .with_predict(&[0.0, 5.0]);
     let cluster = RtCluster::start(cfg).await;
     let mut mover = cluster.client(Point::new(200.0, 200.0));
     let mut observer = cluster.client(Point::new(200.0, 300.0)); // outer ring
