@@ -270,10 +270,11 @@ fn run_flush_round(workers: u32, positions: &[Point]) -> (Duration, u64) {
         metric: Metric::Euclidean,
         origin_quantum: 0.0,
         telemetry: false,
+        shards: workers,
+        trace_charging: false,
     };
     let mut p: DisseminationPipeline<u64, UpdateItem> =
-        DisseminationPipeline::new(world(), knobs, cfg).with_shards(workers);
-    p.set_parallel_flush(workers > 1);
+        DisseminationPipeline::new(world(), knobs, cfg);
     for (k, pos) in positions.iter().enumerate() {
         p.subscribe(k as u64, *pos);
     }

@@ -14,8 +14,10 @@
 //! arm's budget — so CI fails the build on an overhead regression, not
 //! a human reading a report.
 //!
-//! Pass `--flush-workers N` to run the whole gate on the sharded flush
-//! path (CI runs 1 and 4): the budgets must hold at any worker count.
+//! Pass `--flush-workers N` to run the whole gate on the sharded flush,
+//! which above one worker runs each shard on its own thread as
+//! `matrix-rt` does (CI runs 1 and 4): the budgets must hold at any
+//! worker count.
 //!
 //! Not a criterion bench on purpose: the verdict needs a process exit
 //! code, and the arms must interleave in one process to share

@@ -1,8 +1,8 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
-//! Each bench target regenerates one of the paper's evaluation artefacts;
-//! see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-//! recorded results.
+//! Each bench target measures one layer in isolation; the experiment
+//! index is the `matrix-experiments` subcommand list, and README.md's
+//! "Benchmarks" section records results.
 
 use matrix_geometry::{PartitionMap, Point, Rect, ServerId};
 

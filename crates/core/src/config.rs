@@ -35,10 +35,6 @@ pub struct MatrixConfig {
     /// Client count below which a server counts as underloaded
     /// (Figure 2: "underloaded (< 150 clients)").
     pub underload_clients: u32,
-    /// Receive-queue backlog (work units) that also flags overload, so CPU
-    /// hotspots without many clients still trigger splits ("or via system
-    /// performance measurements", §3.2.3).
-    pub overload_backlog: f64,
     /// Consecutive overloaded load reports required before splitting.
     pub overload_streak: u32,
     /// Consecutive underloaded reports required before reclaiming a child.
@@ -55,10 +51,6 @@ pub struct MatrixConfig {
     pub split_strategy: SplitStrategy,
     /// Interval between heartbeats to the coordinator.
     pub heartbeat_every: SimDuration,
-    /// When true, `WhereIs` point-resolution queries are answered from the
-    /// locally cached partition directory; when false every query goes to
-    /// the coordinator (used by the E5 microbenchmark to measure MC load).
-    pub resolve_locally: bool,
     /// When true, every active server pairs with a warm standby drawn
     /// from the resource pool and streams region state to it (see
     /// `GameServerConfig::replica_interval`); on the primary's liveness
@@ -75,14 +67,12 @@ impl Default for MatrixConfig {
             adaptive: true,
             overload_clients: 300,
             underload_clients: 150,
-            overload_backlog: 5_000.0,
             overload_streak: 2,
             underload_streak: 3,
             reclaim_headroom: 0.7,
             cooldown: SimDuration::from_secs(5),
             split_strategy: SplitStrategy::SplitToLeft,
             heartbeat_every: SimDuration::from_secs(1),
-            resolve_locally: true,
             standby_replication: false,
             metric: Metric::Euclidean,
         }
@@ -114,9 +104,6 @@ pub struct GameServerConfig {
     /// Dynamic global state transferred to a newly split server (map
     /// objects such as trees and buildings), in bytes.
     pub global_state_bytes: u64,
-    /// Whether load reports carry client positions, enabling the
-    /// load-aware split strategy.
-    pub report_positions: bool,
     /// Roaming hysteresis: a client is only handed off once it strays
     /// further than this outside the server's range, so crowds jittering
     /// on a partition boundary do not thrash between servers.
@@ -152,11 +139,6 @@ pub struct GameServerConfig {
     /// Replication itself is armed per server by
     /// `MatrixConfig::standby_replication`.
     pub replica_interval: SimDuration,
-    /// Backlog bound for the replica log: once this many session ops
-    /// queue unshipped, a batch ships immediately regardless of
-    /// `replica_interval` (`0` = interval-only). Caps standby staleness
-    /// under bursty load without shrinking the steady-state interval.
-    pub replica_lag_cap: u32,
     /// Master telemetry switch: per-stage pipeline span timers, tick and
     /// flush latency histograms, the per-node flight recorder, and the
     /// telemetry snapshot attached to load reports (which then rides the
@@ -164,21 +146,12 @@ pub struct GameServerConfig {
     /// `report_every_ticks`). Off (the default), every instrumentation
     /// point is a branch-only no-op: no clock reads, no recording.
     pub telemetry: bool,
-    /// Capacity of the per-node flight recorder ring, in events; older
-    /// events are evicted (and counted) once it fills. Only meaningful
-    /// with `telemetry` on. The coordinator's own recorder is always on
-    /// and sized independently.
-    pub telemetry_events: u32,
-    /// Whether binary frames carry the CRC32 trailer (4 bytes per
-    /// frame). On by default: corrupted frames are then rejected and
-    /// the stream resynchronizes at the next magic boundary.
-    pub frame_crc: bool,
     /// Number of shards the dissemination flush is partitioned into
     /// (clamped to ≥ 1). Per-client send-path state (delta streams,
     /// sampling phase, prediction mirrors, queued batches) lives in
     /// `flush_workers` independent shards keyed by a stable client-id
-    /// hash; under the async runtime each shard flushes on its own
-    /// worker thread. The flush output is byte-identical for any value
+    /// hash; above one shard, each flushes on its own scoped worker
+    /// thread. The flush output is byte-identical for any value
     /// — this is purely a throughput knob. `1` (the default) is the
     /// sequential single-shard path.
     pub flush_workers: u32,
@@ -193,12 +166,6 @@ pub struct GameServerConfig {
     /// skip span clocks, but the ack histograms only surface through
     /// telemetry snapshots, so end-to-end runs enable both.
     pub trace_sample_rate: u32,
-    /// Slow-flush capture threshold in µs (`0` = off): when a whole
-    /// flush takes longer than this, that flush's per-stage, per-shard
-    /// span breakdown is dumped into the node's flight recorder as
-    /// [`matrix_telemetry::EventKind::SlowFlush`] events (one per
-    /// shard). Needs `telemetry` on — the spans are the data source.
-    pub slow_flush_threshold_us: u64,
 }
 
 impl Default for GameServerConfig {
@@ -208,7 +175,6 @@ impl Default for GameServerConfig {
             report_every_ticks: 10,
             client_state_bytes: 2_048,
             global_state_bytes: 4_000_000,
-            report_positions: true,
             handoff_margin: 0.0,
             metric: Metric::Euclidean,
             dissemination: DisseminationConfig::default(),
@@ -216,13 +182,9 @@ impl Default for GameServerConfig {
             emit_updates: false,
             origin_quantum: 1.0 / 256.0,
             replica_interval: SimDuration::from_millis(200),
-            replica_lag_cap: 256,
             telemetry: false,
-            telemetry_events: 256,
-            frame_crc: true,
             flush_workers: 1,
             trace_sample_rate: 0,
-            slow_flush_threshold_us: 0,
         }
     }
 }
@@ -233,11 +195,6 @@ pub struct CoordinatorConfig {
     /// A server missing heartbeats for this long is declared dead and its
     /// partition reassigned.
     pub heartbeat_timeout: SimDuration,
-    /// Whether a dead server with a registered warm standby is failed
-    /// over (the standby promoted in place, clients kept) rather than
-    /// absorbed by a neighbour. Disable to measure the absorb-only
-    /// baseline with replication still running.
-    pub failover: bool,
     /// Distance metric used when building overlap tables.
     pub metric: Metric,
     /// Per-ring freshness SLO targets and error budget
@@ -253,7 +210,6 @@ impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
             heartbeat_timeout: SimDuration::from_secs(5),
-            failover: true,
             metric: Metric::Euclidean,
             slo: matrix_telemetry::SloTargets::default(),
         }
@@ -340,7 +296,8 @@ mod tests {
 
     /// A new field on any of the four config structs fails to compile
     /// here until it is listed, and then fails the test until
-    /// `docs/CONFIG.md` has a row for it.
+    /// `docs/CONFIG.md` has a row for it. The check runs both ways: a
+    /// row naming no live field (a deleted knob's) fails too.
     #[test]
     fn every_config_field_has_a_docs_row() {
         let dissemination = fields!(DisseminationConfig {
@@ -362,7 +319,6 @@ mod tests {
             report_every_ticks,
             client_state_bytes,
             global_state_bytes,
-            report_positions,
             handoff_margin,
             metric,
             dissemination,
@@ -370,32 +326,25 @@ mod tests {
             emit_updates,
             origin_quantum,
             replica_interval,
-            replica_lag_cap,
             telemetry,
-            telemetry_events,
-            frame_crc,
             flush_workers,
             trace_sample_rate,
-            slow_flush_threshold_us,
         });
         let matrix = fields!(MatrixConfig {
             adaptive,
             overload_clients,
             underload_clients,
-            overload_backlog,
             overload_streak,
             underload_streak,
             reclaim_headroom,
             cooldown,
             split_strategy,
             heartbeat_every,
-            resolve_locally,
             standby_replication,
             metric,
         });
         let coordinator = fields!(CoordinatorConfig {
             heartbeat_timeout,
-            failover,
             metric,
             slo,
         });
@@ -417,6 +366,13 @@ mod tests {
                 assert!(
                     section.contains(&format!("| `{field}` |")),
                     "docs/CONFIG.md has no `{name}` row for `{field}`"
+                );
+            }
+            for row in section.lines().filter_map(|l| l.strip_prefix("| `")) {
+                let knob = row.split_once("` |").map_or(row, |(knob, _)| knob);
+                assert!(
+                    fields.contains(&knob),
+                    "docs/CONFIG.md `{name}` row `{knob}` names no field of `{name}`"
                 );
             }
         }

@@ -672,29 +672,26 @@ impl Coordinator {
                 ));
                 continue;
             }
-            if self.cfg.failover {
-                if let Some(standby) = self.standbys.get(&failed).copied() {
-                    // Promoting onto a node that is dead in this very
-                    // sweep would hand the region to a corpse; a shared
-                    // failure domain takes the absorb path instead.
-                    if !dead_set.contains(&standby) {
-                        actions.extend(self.promote_standby(now, failed, standby));
-                        continue;
-                    }
-                    self.standbys.remove(&failed);
-                    self.heartbeats.remove(&standby);
-                    self.stats.standbys_lost += 1;
-                    self.recorder.record(
-                        now,
-                        EventKind::StandbyLost {
-                            primary: failed,
-                            standby,
-                        },
-                    );
-                    self.log.emit(|| {
-                        format!("standby {standby} died with its primary {failed} at {now}")
-                    });
+            if let Some(standby) = self.standbys.get(&failed).copied() {
+                // Promoting onto a node that is dead in this very
+                // sweep would hand the region to a corpse; a shared
+                // failure domain takes the absorb path instead.
+                if !dead_set.contains(&standby) {
+                    actions.extend(self.promote_standby(now, failed, standby));
+                    continue;
                 }
+                self.standbys.remove(&failed);
+                self.heartbeats.remove(&standby);
+                self.stats.standbys_lost += 1;
+                self.recorder.record(
+                    now,
+                    EventKind::StandbyLost {
+                        primary: failed,
+                        standby,
+                    },
+                );
+                self.log
+                    .emit(|| format!("standby {standby} died with its primary {failed} at {now}"));
             }
             actions.extend(self.absorb_dead(now, failed));
         }
@@ -1166,46 +1163,6 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, CoordAction::Send(_, CoordReply::Promote { .. }))));
-    }
-
-    #[test]
-    fn failover_disabled_falls_back_to_absorption() {
-        let cfg = CoordinatorConfig {
-            failover: false,
-            ..CoordinatorConfig::default()
-        };
-        let mut c = Coordinator::new(cfg);
-        c.handle(
-            SimTime::ZERO,
-            CoordMsg::RegisterWorld {
-                server: ServerId(1),
-                world: world(),
-                radius: 50.0,
-            },
-        );
-        c.handle(
-            SimTime::from_secs(1),
-            CoordMsg::SplitOccurred {
-                parent: ServerId(1),
-                child: ServerId(2),
-                parent_range: Rect::from_coords(200.0, 0.0, 400.0, 400.0),
-                child_range: Rect::from_coords(0.0, 0.0, 200.0, 400.0),
-            },
-        );
-        c.handle(
-            SimTime::from_secs(1),
-            CoordMsg::StandbyAssigned {
-                primary: ServerId(2),
-                standby: ServerId(9),
-            },
-        );
-        keep_alive(&mut c, ServerId(1), 20);
-        keep_alive(&mut c, ServerId(9), 20);
-        let actions = c.check_liveness(SimTime::from_secs(24));
-        assert_eq!(c.stats().failovers, 0);
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, CoordAction::Send(_, CoordReply::AbsorbFailed { .. }))));
     }
 
     #[test]

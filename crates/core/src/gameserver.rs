@@ -128,42 +128,6 @@ pub struct GameStats {
     pub pred_error_max: f64,
 }
 
-/// The stat deltas one flush produces. Batches arrive from
-/// `flush_workers` shards (possibly real worker threads); their
-/// contributions accumulate here — plain local arithmetic, no shared
-/// counters — and merge into [`GameStats`] exactly once per flush, so
-/// the totals are independent of how many shards produced them (pinned
-/// by a unit test below).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct FlushStatsDelta {
-    batches_flushed: u64,
-    updates_batched: u64,
-    batch_bytes: u64,
-    updates_dropped: u64,
-    updates_rate_limited: u64,
-    keyframe_items: u64,
-    delta_items: u64,
-    delta_bytes_saved: u64,
-    ring_items: [u64; MAX_RINGS],
-}
-
-impl FlushStatsDelta {
-    /// Folds this flush's deltas into the node totals.
-    fn merge_into(&self, stats: &mut GameStats) {
-        stats.batches_flushed += self.batches_flushed;
-        stats.updates_batched += self.updates_batched;
-        stats.batch_bytes += self.batch_bytes;
-        stats.updates_dropped += self.updates_dropped;
-        stats.updates_rate_limited += self.updates_rate_limited;
-        stats.keyframe_items += self.keyframe_items;
-        stats.delta_items += self.delta_items;
-        stats.delta_bytes_saved += self.delta_bytes_saved;
-        for (total, d) in stats.ring_items.iter_mut().zip(self.ring_items) {
-            *total += d;
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ClientRecord {
     pos: Point,
@@ -226,6 +190,15 @@ pub struct GameServerNode {
 }
 
 impl GameServerNode {
+    /// Backlog bound for the replica log: once this many session ops
+    /// queue unshipped, a batch ships immediately regardless of
+    /// `replica_interval`. Caps standby staleness under bursty load
+    /// without shrinking the steady-state interval.
+    pub const REPLICA_LAG_CAP: u32 = 256;
+    /// Capacity of the flight recorder ring with `telemetry` on, in
+    /// events; older events are evicted (and counted) once it fills.
+    pub const RECORDER_EVENTS: usize = 256;
+
     /// Creates a node that has not yet registered or received a range.
     pub fn new(id: ServerId, cfg: GameServerConfig) -> GameServerNode {
         GameServerNode {
@@ -235,7 +208,7 @@ impl GameServerNode {
             clients: BTreeMap::new(),
             pipeline: Self::make_pipeline(Rect::from_coords(0.0, 0.0, 1.0, 1.0), &cfg),
             standby: None,
-            replica: ReplicaLog::new(cfg.replica_interval, cfg.replica_lag_cap),
+            replica: ReplicaLog::new(cfg.replica_interval, Self::REPLICA_LAG_CAP),
             receiver: ReplicaReceiver::new(),
             last_flush: SimTime::ZERO,
             emit_fanout: cfg.emit_updates,
@@ -249,7 +222,7 @@ impl GameServerNode {
             trace_staleness: std::array::from_fn(|_| Histogram::new()),
             stats: GameStats::default(),
             recorder: FlightRecorder::new(if cfg.telemetry {
-                cfg.telemetry_events as usize
+                Self::RECORDER_EVENTS
             } else {
                 0
             }),
@@ -265,20 +238,11 @@ impl GameServerNode {
         self
     }
 
-    /// Runs flushes on one real worker thread per shard (used by the
-    /// async runtime when `flush_workers > 1`; the discrete-event
-    /// harness keeps the deterministic sequential interleaving, whose
-    /// output is byte-identical anyway).
-    pub fn with_parallel_flush(mut self) -> GameServerNode {
-        self.pipeline.set_parallel_flush(true);
-        self
-    }
-
     fn make_pipeline(
         bounds: Rect,
         cfg: &GameServerConfig,
     ) -> DisseminationPipeline<ClientId, UpdateItem> {
-        let mut pipeline = DisseminationPipeline::new(
+        DisseminationPipeline::new(
             bounds,
             cfg.dissemination,
             PipelineConfig {
@@ -289,15 +253,15 @@ impl GameServerNode {
                 // snapping and the lattice requirement).
                 origin_quantum: cfg.origin_quantum,
                 telemetry: cfg.telemetry,
+                shards: cfg.flush_workers,
+                // Staleness charging (suppressed/dropped event ages
+                // charged to the next delivered rebase) only runs when
+                // events can actually carry tags — with sampling off
+                // the charge maps stay untouched and the flush path is
+                // branch-for-branch what it was.
+                trace_charging: cfg.trace_sample_rate > 0,
             },
         )
-        .with_shards(cfg.flush_workers);
-        // Staleness charging (suppressed/dropped event ages charged to
-        // the next delivered rebase) only runs when events can actually
-        // carry tags — with sampling off the charge maps stay untouched
-        // and the flush path is branch-for-branch what it was.
-        pipeline.set_trace_charging(cfg.trace_sample_rate > 0);
-        pipeline
     }
 
     /// Re-anchors the pipeline's interest grid to a new managed range,
@@ -714,19 +678,15 @@ impl GameServerNode {
         let outcome = self
             .pipeline
             .flush(|cid| clients.get(&cid).map(|rec| rec.pos));
-        // Accumulate this flush's stat contributions locally and merge
-        // them into the node totals exactly once at the end — batches
-        // from concurrent shards never interleave `+=` on the shared
-        // counters.
-        let mut delta = FlushStatsDelta {
-            updates_dropped: outcome.orphaned,
-            ..FlushStatsDelta::default()
-        };
+        // The pipeline has already merged the shards: the batches are
+        // walked here, on the caller, in receiver order.
+        let stats = &mut self.stats;
+        stats.updates_dropped += outcome.orphaned;
         let mut out = Vec::with_capacity(outcome.batches.len());
         for batch in outcome.batches {
-            delta.updates_rate_limited += batch.rate_limited;
-            delta.batches_flushed += 1;
-            delta.updates_batched += batch.items.len() as u64;
+            stats.updates_rate_limited += batch.rate_limited;
+            stats.batches_flushed += 1;
+            stats.updates_batched += batch.items.len() as u64;
             let mut items = Vec::with_capacity(batch.items.len());
             for (u, encoded) in batch.items.into_iter().zip(batch.origins) {
                 let item = match encoded {
@@ -744,12 +704,12 @@ impl GameServerNode {
                         trace: u.trace,
                     }),
                 };
-                delta.ring_items[(u.ring as usize).min(MAX_RINGS - 1)] += 1;
+                stats.ring_items[(u.ring as usize).min(MAX_RINGS - 1)] += 1;
                 if item.is_keyframe() {
-                    delta.keyframe_items += 1;
+                    stats.keyframe_items += 1;
                 } else {
-                    delta.delta_items += 1;
-                    delta.delta_bytes_saved +=
+                    stats.delta_items += 1;
+                    stats.delta_bytes_saved +=
                         (UpdateItem::WIRE_BYTES - DeltaItem::WIRE_BYTES) as u64;
                 }
                 items.push(item);
@@ -759,35 +719,15 @@ impl GameServerNode {
             // its encoder (pinned equal by the property suite). Declared
             // payload sizes ride on top — the sim ships sizes, not state.
             let payload: usize = items.iter().map(|i| i.payload_bytes()).sum();
-            let frame = codec_v2::update_batch_frame_len(&items, self.cfg.frame_crc);
-            delta.batch_bytes += (frame + payload) as u64;
+            let frame = codec_v2::update_batch_frame_len(&items, true);
+            stats.batch_bytes += (frame + payload) as u64;
             out.push(GameAction::ToClient(
                 batch.receiver,
                 GameToClient::UpdateBatch { updates: items },
             ));
         }
-        delta.merge_into(&mut self.stats);
         if let Some(t0) = t0 {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            self.flush_hist.record(us);
-            // Slow-flush capture: when one flush blows the configured
-            // threshold, dump its per-stage, per-shard span breakdown
-            // into the flight recorder — the post-mortem answers "which
-            // stage, which shard" without re-running the workload.
-            let threshold = self.cfg.slow_flush_threshold_us;
-            if threshold > 0 && us as u64 >= threshold {
-                for (shard, spans) in self.pipeline.last_flush_spans().into_iter().enumerate() {
-                    self.recorder.record(
-                        now,
-                        EventKind::SlowFlush {
-                            server: self.id,
-                            shard: shard as u32,
-                            total_us: us as u64,
-                            stages: spans.map(|s| s as u64),
-                        },
-                    );
-                }
-            }
+            self.flush_hist.record(t0.elapsed().as_secs_f64() * 1e6);
         }
         out
     }
@@ -1271,15 +1211,10 @@ impl GameServerNode {
             .ticks
             .is_multiple_of(self.cfg.report_every_ticks.max(1) as u64)
         {
-            let positions = if self.cfg.report_positions {
-                self.client_positions()
-            } else {
-                Vec::new()
-            };
             out.push(GameAction::ToMatrix(GameToMatrix::Load(LoadReport {
                 clients: self.clients.len() as u32,
                 queue_backlog,
-                positions,
+                positions: self.client_positions(),
                 telemetry: self.telemetry_snapshot().map(Box::new),
             })));
         }
@@ -2457,11 +2392,10 @@ mod tests {
 
     #[test]
     fn flush_workers_leave_stats_and_output_identical() {
-        // Same workload under 1, 4 (parallel) and 8 shards: the emitted
-        // actions and every GameStats counter must be byte-identical —
-        // flush_workers is purely a throughput knob, and the per-flush
-        // stat-delta merge keeps totals independent of the shard count.
-        let make = |workers: u32, parallel: bool| {
+        // Same workload under 1, 4 and 8 shards (threaded above one):
+        // the emitted actions and every GameStats counter must be
+        // byte-identical — flush_workers is purely a throughput knob.
+        let make = |workers: u32| {
             let cfg = GameServerConfig {
                 emit_updates: true,
                 flush_workers: workers,
@@ -2473,29 +2407,19 @@ mod tests {
                 ..GameServerConfig::default()
             };
             let mut g = GameServerNode::new(ServerId(1), cfg).with_fanout();
-            if parallel {
-                g = g.with_parallel_flush();
-            }
             g.register(world(), 120.0);
             g
         };
-        let mut reference = make(1, false);
+        let mut reference = make(1);
         let base_actions = drive_sharded_workload(&mut reference);
         let base_stats = *reference.stats();
         assert!(base_stats.batches_flushed > 0, "workload must flush");
         assert!(base_stats.updates_rate_limited > 0, "caps must engage");
-        for (workers, parallel) in [(4, false), (4, true), (8, false)] {
-            let mut g = make(workers, parallel);
+        for workers in [4, 8] {
+            let mut g = make(workers);
             let actions = drive_sharded_workload(&mut g);
-            assert_eq!(
-                actions, base_actions,
-                "{workers}-shard (parallel={parallel}) output diverged"
-            );
-            assert_eq!(
-                g.stats(),
-                &base_stats,
-                "{workers}-shard (parallel={parallel}) stats diverged"
-            );
+            assert_eq!(actions, base_actions, "{workers}-shard output diverged");
+            assert_eq!(g.stats(), &base_stats, "{workers}-shard stats diverged");
         }
     }
 

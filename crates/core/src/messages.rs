@@ -392,8 +392,8 @@ pub struct LoadReport {
     /// Receive-queue backlog in work units (0 if the game server does not
     /// measure it).
     pub queue_backlog: f64,
-    /// Client positions, if `GameServerConfig::report_positions` — enables
-    /// the load-aware split strategy.
+    /// Every connected client's position — enables the load-aware split
+    /// strategy.
     pub positions: Vec<Point>,
     /// Telemetry snapshot, if `GameServerConfig::telemetry` — rides the
     /// load report to the local Matrix server, which forwards it on its

@@ -260,6 +260,30 @@ mod tests {
     }
 
     #[test]
+    fn threaded_flush_workers_keep_the_simulation_deterministic() {
+        // Above one flush worker the shards flush on real threads; the
+        // simulated run must still count exactly what one worker does.
+        let spec = GameSpec::bzflag();
+        let counters = |flush_workers| {
+            let r = run_one(&spec, 200, 512, 10, 17, flush_workers).report;
+            (
+                r.update_batches_delivered,
+                r.batched_updates_delivered,
+                r.batch_bytes,
+                r.keyframe_items,
+                r.delta_items,
+                r.delta_bytes_saved,
+                r.updates_rate_limited,
+                r.splits,
+            )
+        };
+        let one = counters(1);
+        assert!(one.0 > 0, "batches must reach clients");
+        assert!(one.6 > 0, "the budget must rate-limit");
+        assert_eq!(counters(4), one, "4 threaded flush workers diverged from 1");
+    }
+
+    #[test]
     fn bigger_crowds_fan_out_more() {
         let spec = GameSpec::bzflag();
         let small = run_one(&spec, 100, 0, 20, 11, 1).report.updates_fanned;

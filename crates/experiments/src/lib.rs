@@ -1,5 +1,6 @@
 //! Experiment harness regenerating every table and figure of the Matrix
-//! paper (see DESIGN.md §4 for the experiment index E1–E10, A1–A2).
+//! paper, plus the later experiments E12–E16; the index is the
+//! subcommand list below.
 //!
 //! The [`harness`] module wires the `matrix-core` state machines to the
 //! `matrix-sim` kernel; each experiment module scripts a workload, runs

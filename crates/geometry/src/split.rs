@@ -5,8 +5,8 @@
 //! new server" (§3.2.3), and notes in §5 that smarter partitioning
 //! algorithms (inter-server-communication-minimising, locality-preserving)
 //! are complementary. This module implements the paper's strategy plus two
-//! such alternatives so the ablation experiment (DESIGN.md A1) can compare
-//! them.
+//! such alternatives so the split-strategy ablation
+//! (`matrix-experiments ablation-split`, A1) can compare them.
 
 use crate::{Axis, Point, Rect};
 use serde::{Deserialize, Serialize};

@@ -43,17 +43,14 @@
 //! independent **shards** keyed by a stable hash of the receiver
 //! ([`ShardKey`](crate::ShardKey)). Stages 4–5 touch nothing but one
 //! receiver's own state, so a flush can process every shard
-//! independently: sequentially in shard-index order (the default, and
-//! the only mode the discrete-event harness uses), or on real
-//! `std::thread` workers behind [`with_parallel_flush`]
-//! (`matrix-rt`). Because receivers partition across shards and each
-//! shard drains in receiver order, merging the per-shard batch lists by
-//! receiver reconstructs the exact global order — the flush output is
-//! **byte-identical for any shard count**, parallel or not, which is
-//! what lets `flush_workers` be a pure performance knob
-//! (property-pinned in `tests/interest_properties.rs`).
-//!
-//! [`with_parallel_flush`]: DisseminationPipeline::with_parallel_flush
+//! independently. With one shard the flush runs on the caller; with
+//! more, each shard runs on its own scoped `std::thread` worker, under
+//! the discrete-event harness and `matrix-rt` alike. Because receivers
+//! partition across shards and each shard drains in receiver order,
+//! merging the per-shard batch lists by receiver reconstructs the exact
+//! global order — the flush output is **byte-identical for any shard
+//! count**, which is what lets `flush_workers` be a pure performance
+//! knob (property-pinned in `tests/interest_properties.rs`).
 //!
 //! The pipeline is deliberately payload-agnostic: anything implementing
 //! [`Disseminated`] flows through, so the middleware's update items, the
@@ -133,6 +130,17 @@ pub struct PipelineConfig {
     /// cycle lands in a latency histogram. Off (the default), every
     /// timing call is a branch-only no-op — no clock reads.
     pub telemetry: bool,
+    /// Number of shards per-receiver state is partitioned into (clamped
+    /// to ≥ 1). Above one, each shard flushes on its own scoped worker
+    /// thread; the output is byte-identical for any count.
+    pub shards: u32,
+    /// Arms the trace plane's staleness charging (producers stamp
+    /// [`matrix_telemetry::TraceTag`]s on sampled items): suppressed
+    /// and policy-dropped events record the gap they leave, and the
+    /// next emitted rebase of the same `(receiver, entity)` pair picks
+    /// the charge up via [`Disseminated::trace_charge`]. Off, every
+    /// charging site is a single branch and no map is touched.
+    pub trace_charging: bool,
 }
 
 /// One receiver's flushed batch. `items` and `origins` are parallel —
@@ -188,7 +196,7 @@ pub struct DisseminateStats {
 /// One shard of per-receiver state. Every structure in here is keyed by
 /// the receiver and every flush-time access touches exactly one
 /// receiver's entry, so shards are fully independent during a flush —
-/// the invariant the parallel path rests on.
+/// the invariant the threaded flush rests on.
 #[derive(Debug, Clone)]
 struct Shard<K: Ord, U> {
     sampler: RingSampler<K>,
@@ -228,17 +236,11 @@ pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
     /// [`DisseminationPipeline::stage_histogram`] merges the two views.
     spans: StageSpans,
     /// Per-receiver state, partitioned by stable receiver hash. Always
-    /// at least one shard; the single-shard default is exactly the
-    /// pre-sharding pipeline.
+    /// at least one shard; a single shard is exactly the pre-sharding
+    /// pipeline.
     shards: Vec<Shard<K, U>>,
-    /// Whether `flush` runs the shards on real `std::thread` workers
-    /// (one per shard) instead of in index order on the caller.
-    parallel: bool,
-    /// Whether the trace plane's staleness charging is armed (the
-    /// producer stamps trace tags): suppressed and policy-dropped
-    /// events then charge their age to the next delivered rebase. Off
-    /// (the default), the charge maps stay empty and every charging
-    /// site is a single branch.
+    /// [`PipelineConfig::trace_charging`]: with it off the charge maps
+    /// stay empty.
     trace_charging: bool,
     /// Reused per-dissemination candidate buffer `(key, pos, ring)` —
     /// stage 1 fills it, stages 2–3 compact and drain it in place.
@@ -252,7 +254,7 @@ pub struct DisseminationPipeline<K: Ord + Copy + Eq + Hash, U> {
 
 impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipeline<K, U> {
     /// Builds a pipeline over `bounds` from the dissemination knobs,
-    /// with a single shard (the sequential path). Until
+    /// with `cfg.shards` shards. Until
     /// [`DisseminationPipeline::reset`] supplies a registered radius,
     /// the area of interest is `knobs.ring_set(0.0)`.
     pub fn new(
@@ -277,69 +279,17 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
             motion: MotionModel::new(knobs.motion_window),
             spans: StageSpans::new(cfg.telemetry),
             shards: Vec::new(),
-            parallel: false,
-            trace_charging: false,
+            trace_charging: cfg.trace_charging,
             scratch: Vec::new(),
             charged: Vec::new(),
         };
-        p.shards = vec![p.make_shard()];
+        p.shards = (0..cfg.shards.max(1)).map(|_| p.make_shard()).collect();
         p
-    }
-
-    /// Re-partitions per-receiver state across `shards` shards (clamped
-    /// to ≥ 1). Intended at construction, before any state accumulates:
-    /// existing queued batches, streams and bases are discarded, not
-    /// re-routed.
-    pub fn with_shards(mut self, shards: u32) -> DisseminationPipeline<K, U> {
-        let n = (shards as usize).max(1);
-        self.shards = (0..n).map(|_| self.make_shard()).collect();
-        self
-    }
-
-    /// Runs future flushes on one real `std::thread` worker per shard
-    /// (no effect with a single shard). The output stays byte-identical
-    /// to the sequential path — see the module docs.
-    pub fn with_parallel_flush(mut self) -> DisseminationPipeline<K, U> {
-        self.set_parallel_flush(true);
-        self
-    }
-
-    /// In-place form of [`DisseminationPipeline::with_parallel_flush`]
-    /// for drivers that configure an already-constructed pipeline.
-    pub fn set_parallel_flush(&mut self, on: bool) {
-        self.parallel = on;
-    }
-
-    /// Arms the trace plane's staleness charging (producers stamp
-    /// [`matrix_telemetry::TraceTag`]s on sampled items): suppressed
-    /// and policy-dropped events record the gap they leave, and the
-    /// next emitted rebase of the same `(receiver, entity)` pair picks
-    /// the charge up via [`Disseminated::trace_charge`]. Off (the
-    /// default), every charging site is a single branch and no map is
-    /// touched.
-    pub fn with_trace_charging(mut self) -> DisseminationPipeline<K, U> {
-        self.set_trace_charging(true);
-        self
-    }
-
-    /// In-place form of [`DisseminationPipeline::with_trace_charging`].
-    pub fn set_trace_charging(&mut self, on: bool) {
-        self.trace_charging = on;
-    }
-
-    /// Whether trace charging is armed.
-    pub fn trace_charging(&self) -> bool {
-        self.trace_charging
     }
 
     /// The number of shards per-receiver state is partitioned into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether flushes run the shards on real worker threads.
-    pub fn parallel_flush(&self) -> bool {
-        self.parallel
     }
 
     fn make_shard(&self) -> Shard<K, U> {
@@ -482,26 +432,6 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                 merged
             }
         }
-    }
-
-    /// Per-shard, per-stage breakdown (µs) of the most recent completed
-    /// flush — the slow-flush capture's raw material. One entry per
-    /// shard: stages 1–3 are the driver-thread spans (identical in
-    /// every entry — disseminations are not sharded), stages 4–5 that
-    /// shard's own. All zeros before the first flush or with telemetry
-    /// off.
-    pub fn last_flush_spans(&self) -> Vec<[f64; matrix_telemetry::STAGE_COUNT]> {
-        let driver = self.spans.last_flush_us();
-        self.shards
-            .iter()
-            .map(|shard| {
-                let own = shard.spans.last_flush_us();
-                let mut row = driver;
-                row[Stage::Policy as usize] = own[Stage::Policy as usize];
-                row[Stage::Delta as usize] = own[Stage::Delta as usize];
-                row
-            })
-            .collect()
     }
 
     /// Cumulative per-shard time (µs) spent in one of the sharded
@@ -739,11 +669,10 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
     /// shard by shard. `viewer_of` resolves a receiver's current
     /// position; `None` means the receiver vanished between enqueue and
     /// flush (its items are discarded and counted in
-    /// [`FlushOutcome::orphaned`]). Sequential by default; behind
-    /// [`DisseminationPipeline::with_parallel_flush`] each shard runs
-    /// on its own scoped worker thread. Either way the batches come
-    /// back in global receiver order and the outcome is byte-identical
-    /// for any shard count.
+    /// [`FlushOutcome::orphaned`]). A single shard flushes on the
+    /// caller; above one, each shard runs on its own scoped worker
+    /// thread. Either way the batches come back in global receiver
+    /// order and the outcome is byte-identical for any shard count.
     pub fn flush(&mut self, viewer_of: impl Fn(K) -> Option<Point> + Sync) -> FlushOutcome<K, U>
     where
         K: Send + Sync,
@@ -752,11 +681,7 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
         let metric = self.metric;
         let policy = self.knobs.policy();
         let charging = self.trace_charging;
-        let mut outcome = FlushOutcome {
-            batches: Vec::new(),
-            orphaned: 0,
-        };
-        if self.parallel && self.shards.len() > 1 {
+        let (batches, orphaned) = if self.shards.len() > 1 {
             let viewer_of = &viewer_of;
             let results: Vec<(Vec<FlushBatch<K, U>>, u64)> = std::thread::scope(|s| {
                 let handles: Vec<_> = self
@@ -773,29 +698,25 @@ impl<K: Ord + Copy + Eq + Hash + ShardKey, U: Disseminated> DisseminationPipelin
                     .map(|h| h.join().expect("flush worker panicked"))
                     .collect()
             });
-            for (batches, orphaned) in results {
-                outcome.batches.extend(batches);
-                outcome.orphaned += orphaned;
+            let mut batches = Vec::new();
+            let mut orphaned = 0;
+            for (shard_batches, shard_orphaned) in results {
+                batches.extend(shard_batches);
+                orphaned += shard_orphaned;
             }
+            // Receivers partition across shards and each shard drains
+            // in receiver order, so one sort by receiver reconstructs
+            // the exact global order the single-shard drain produces.
+            batches.sort_by_key(|b| b.receiver);
+            (batches, orphaned)
         } else {
-            for shard in &mut self.shards {
-                let (batches, orphaned) =
-                    Self::flush_shard(shard, metric, policy, charging, &viewer_of);
-                outcome.batches.extend(batches);
-                outcome.orphaned += orphaned;
-            }
-        }
-        // Receivers partition across shards and each shard drains in
-        // receiver order, so one sort by receiver reconstructs the
-        // exact global order the single-shard drain produces.
-        if self.shards.len() > 1 {
-            outcome.batches.sort_by_key(|b| b.receiver);
-        }
+            Self::flush_shard(&mut self.shards[0], metric, policy, charging, &viewer_of)
+        };
         // One flush cycle ends here: the driver spans fold the time the
         // disseminations attributed to stages 1–3 into one histogram
         // sample each (the shard spans did the same for stages 4–5).
         self.spans.end_flush();
-        outcome
+        FlushOutcome { batches, orphaned }
     }
 
     /// Stages 4–5 over one shard. Touches nothing outside the shard, so
@@ -1068,7 +989,13 @@ mod tests {
             metric: Metric::Euclidean,
             origin_quantum: 0.0,
             telemetry: false,
+            shards: 1,
+            trace_charging: false,
         }
+    }
+
+    fn sharded(shards: u32) -> PipelineConfig {
+        PipelineConfig { shards, ..cfg() }
     }
 
     /// Unit-suite knobs: a 16-cell grid, no per-flush caps, the given
@@ -1416,9 +1343,8 @@ mod tests {
             position_only_ring: 2,
             ..rings.with_predict(&[0.0, 1.5, 3.0])
         };
-        let make = |shards: u32| {
-            DisseminationPipeline::<u32, Ev>::new(world(), knobs, cfg()).with_shards(shards)
-        };
+        let make =
+            |shards: u32| DisseminationPipeline::<u32, Ev>::new(world(), knobs, sharded(shards));
         let mut reference = make(1);
         let baseline = drive_workload(&mut reference);
         for shards in 2..=8u32 {
@@ -1433,22 +1359,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flush_matches_the_sequential_path() {
-        let rings = knobs(&[40.0, 150.0], &[1, 2]);
-        let mut seq = DisseminationPipeline::<u32, Ev>::new(world(), rings, cfg()).with_shards(4);
-        let mut par = DisseminationPipeline::<u32, Ev>::new(world(), rings, cfg())
-            .with_shards(4)
-            .with_parallel_flush();
-        assert!(par.parallel_flush());
-        assert_eq!(drive_workload(&mut par), drive_workload(&mut seq));
-    }
-
-    #[test]
     fn exports_reroute_across_differing_shard_counts() {
         let rings = knobs(&[20.0, 200.0], &[1, 1]);
         let make = |shards: u32| {
-            DisseminationPipeline::<u32, Ev>::new(world(), rings.with_predict(&[0.0, 2.0]), cfg())
-                .with_shards(shards)
+            DisseminationPipeline::<u32, Ev>::new(
+                world(),
+                rings.with_predict(&[0.0, 2.0]),
+                sharded(shards),
+            )
         };
         let mut primary = make(4);
         for k in 0..12u32 {
@@ -1490,10 +1408,9 @@ mod tests {
             rings,
             PipelineConfig {
                 telemetry: true,
-                ..cfg()
+                ..sharded(4)
             },
-        )
-        .with_shards(4);
+        );
         for k in 0..16u32 {
             p.subscribe(k, Point::new(100.0 + k as f64, 100.0));
         }
@@ -1511,9 +1428,6 @@ mod tests {
         // Sharded stages: one sample per shard per flush.
         assert_eq!(p.stage_histogram(Stage::Policy).count(), 12);
         assert_eq!(p.stage_histogram(Stage::Delta).count(), 12);
-        // The retained last-flush breakdown mirrors the shard layout.
-        let spans = p.last_flush_spans();
-        assert_eq!(spans.len(), 4, "one breakdown row per shard");
         assert_eq!(p.shard_stage_sums(Stage::Delta).len(), 4);
         assert_eq!(p.shard_stage_sums(Stage::Query).len(), 1);
     }
@@ -1550,13 +1464,18 @@ mod tests {
         }
     }
 
+    fn charging() -> PipelineConfig {
+        PipelineConfig {
+            trace_charging: true,
+            ..cfg()
+        }
+    }
+
     #[test]
     fn suppressed_events_charge_the_next_delivered_rebase() {
         let rings = knobs(&[20.0, 200.0], &[1, 1]);
         let mut p: DisseminationPipeline<u32, Tr> =
-            DisseminationPipeline::new(world(), rings.with_predict(&[0.0, 2.0]), cfg())
-                .with_trace_charging();
-        assert!(p.trace_charging());
+            DisseminationPipeline::new(world(), rings.with_predict(&[0.0, 2.0]), charging());
         p.subscribe(1, Point::new(100.0, 300.0)); // far ring
         let mut first_gap_us: Option<u64> = None;
         let mut expected: Vec<(u32, u64)> = Vec::new(); // (seq, stale_us)
@@ -1605,9 +1524,8 @@ mod tests {
                 client_budget_bytes: 0,
                 ..knobs(&[150.0], &[])
             },
-            cfg(),
-        )
-        .with_trace_charging();
+            charging(),
+        );
         p.subscribe(1, Point::new(100.0, 100.0));
         let send = |p: &mut DisseminationPipeline<u32, Tr>, entity, x, seq, ingest_us| {
             let at = Point::new(x, 100.0);

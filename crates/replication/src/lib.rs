@@ -22,7 +22,8 @@
 //! * [`ReplicaLog`] — the primary-side shipping policy: a full snapshot
 //!   until the standby acknowledges one, then ops on a configurable
 //!   interval (`replica_interval`), force-shipped when the unshipped
-//!   backlog exceeds `replica_lag_cap`, with ack/resync tracking.
+//!   backlog exceeds the lag cap given to [`ReplicaLog::new`], with
+//!   ack/resync tracking.
 //! * [`ReplicaReceiver`] — the standby side: applies batches in
 //!   sequence, requests a resync on any gap, and surrenders the
 //!   snapshot at promotion time.

@@ -113,11 +113,6 @@ async fn run_node(
     let mut matrix = MatrixServer::new(id, mcfg);
     // Real clients hang off this runtime, so fan-out is emitted for real.
     let mut game = GameServerNode::new(id, gcfg).with_fanout();
-    if gcfg.flush_workers > 1 {
-        // Spread the flush across real threads: each shard's policy
-        // ranking and delta encoding runs on its own scoped worker.
-        game = game.with_parallel_flush();
-    }
     // Driver-side tick latency: how long a whole active game tick takes
     // (flush included) on the real runtime. The clock reads are the very
     // cost being measured, so they are gated on the telemetry switch.

@@ -119,32 +119,9 @@ async fn open_v2(chunks: &mut Chunks) -> Option<FrameAccumulator> {
     }
 }
 
-/// Gateway behaviour knobs (see [`spawn_gateway_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatewayOptions {
-    /// Append CRC32 trailers to outgoing frames.
-    pub frame_crc: bool,
-}
-
-impl Default for GatewayOptions {
-    fn default() -> Self {
-        GatewayOptions { frame_crc: true }
-    }
-}
-
-impl GatewayOptions {
-    /// Options matching a game-server config: the gateway mirrors its
-    /// CRC policy.
-    pub fn from_config(cfg: &matrix_core::GameServerConfig) -> GatewayOptions {
-        GatewayOptions {
-            frame_crc: cfg.frame_crc,
-        }
-    }
-}
-
-/// Binds a TCP gateway in front of a running cluster with default
-/// options (CRC on). Returns the local address; the accept loop runs
-/// until the listener task is dropped.
+/// Binds a TCP gateway in front of a running cluster. Every frame it
+/// writes carries the CRC32 trailer. Returns the local address; the
+/// accept loop runs until the listener task is dropped.
 ///
 /// # Errors
 ///
@@ -154,20 +131,6 @@ pub async fn spawn_gateway(
     router: Router,
     entry: ServerId,
 ) -> Result<std::net::SocketAddr, WireError> {
-    spawn_gateway_with(addr, router, entry, GatewayOptions::default()).await
-}
-
-/// Binds a TCP gateway with explicit [`GatewayOptions`].
-///
-/// # Errors
-///
-/// Returns any bind error from the operating system.
-pub async fn spawn_gateway_with(
-    addr: impl ToSocketAddrs,
-    router: Router,
-    entry: ServerId,
-    opts: GatewayOptions,
-) -> Result<std::net::SocketAddr, WireError> {
     let listener = TcpListener::bind(addr).await?;
     let local = listener.local_addr()?;
     tokio::spawn(async move {
@@ -175,7 +138,7 @@ pub async fn spawn_gateway_with(
             let Ok((stream, _)) = listener.accept().await else {
                 break;
             };
-            tokio::spawn(serve_connection(stream, router.clone(), entry, opts));
+            tokio::spawn(serve_connection(stream, router.clone(), entry));
         }
     });
     Ok(local)
@@ -224,12 +187,7 @@ impl RemoteSession {
     }
 }
 
-async fn serve_connection(
-    stream: TcpStream,
-    router: Router,
-    entry: ServerId,
-    opts: GatewayOptions,
-) {
+async fn serve_connection(stream: TcpStream, router: Router, entry: ServerId) {
     let (read_half, mut write_half) = stream.into_split();
     let mut chunks = read_half.into_chunks();
     let Some(mut acc) = open_v2(&mut chunks).await else {
@@ -243,7 +201,7 @@ async fn serve_connection(
     // a transparent re-join lands where the player actually is.
     let mut current = entry;
     let mut session = RemoteSession::new();
-    let mut clock = FrameClock::new(opts.frame_crc);
+    let mut clock = FrameClock::new(true);
 
     'conn: loop {
         while let Some(item) = acc.next() {
@@ -489,14 +447,14 @@ pub struct ReplicaStream {
 }
 
 impl ReplicaStream {
-    /// Wraps an accepted or established socket; `frame_crc` appends
+    /// Wraps an accepted or established socket; `crc` appends
     /// CRC32 trailers to outgoing frames.
-    pub fn new(stream: TcpStream, frame_crc: bool) -> ReplicaStream {
+    pub fn new(stream: TcpStream, crc: bool) -> ReplicaStream {
         let (read_half, writer) = stream.into_split();
         ReplicaStream {
             reader: FrameReader::new(read_half.into_chunks()),
             writer,
-            clock: FrameClock::new(frame_crc),
+            clock: FrameClock::new(crc),
         }
     }
 

@@ -443,7 +443,7 @@ async fn gateway_client_resumes_at_its_real_position_after_failover() {
 
 /// A primary-shaped snapshot travels the wire and lands in a standby
 /// receiver on the other end, which acks back over the same socket.
-async fn replica_exchange(frame_crc: bool) {
+async fn replica_exchange(crc: bool) {
     use matrix_core::{ReplicaPayload, ReplicaReceiver};
 
     let listener = tokio::net::TcpListener::bind("127.0.0.1:0")
@@ -453,7 +453,7 @@ async fn replica_exchange(frame_crc: bool) {
 
     let standby = tokio::spawn(async move {
         let (stream, _) = listener.accept().await.expect("accept");
-        let mut link = wire::ReplicaStream::new(stream, frame_crc);
+        let mut link = wire::ReplicaStream::new(stream, crc);
         let mut receiver: ReplicaReceiver<matrix_core::ClientId> = ReplicaReceiver::new();
         // Snapshot, then one ops batch.
         for _ in 0..2 {
@@ -465,7 +465,7 @@ async fn replica_exchange(frame_crc: bool) {
     });
 
     let stream = tokio::net::TcpStream::connect(addr).await.expect("connect");
-    let mut link = wire::ReplicaStream::new(stream, frame_crc);
+    let mut link = wire::ReplicaStream::new(stream, crc);
     let mut snapshot = matrix_core::RegionSnapshot {
         range: Some(matrix_geometry::Rect::from_coords(0.0, 0.0, 800.0, 800.0)),
         radius: 100.0,

@@ -1,8 +1,8 @@
 //! Deterministic discrete-event simulation kernel.
 //!
 //! The Matrix paper evaluated on a physical cluster running real games.
-//! This crate is the testbed substitute (see DESIGN.md §2): a virtual
-//! clock, a deterministic event queue, seeded randomness, network latency
+//! This crate is the testbed substitute — the discrete-event driver of
+//! `ARCHITECTURE.md` runs the protocol on it: a virtual clock, a deterministic event queue, seeded randomness, network latency
 //! and loss models, and a fluid service-queue model that produces the
 //! receive-queue-length series of Figure 2b.
 //!

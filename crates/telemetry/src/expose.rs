@@ -26,7 +26,6 @@ fn metric_help(name: &str) -> &'static str {
         "recorder_capacity" => "Flight-recorder ring capacity in events (0 = disabled)",
         "recorder_dropped" => "Flight-recorder events evicted before being read",
         "events_seen" => "Flight-recorder events ever recorded",
-        "events_dropped" => "Flight-recorder events evicted before being read",
         "flush_shard_imbalance_bp" => {
             "Max/mean per-shard stage-5 (delta) flush time, basis points (10000 = balanced)"
         }
@@ -98,12 +97,6 @@ pub fn render_prometheus(nodes: &[(ServerId, TelemetrySnapshot)]) -> String {
             out,
             "matrix_events_seen{{server=\"{sid}\"}} {}",
             snap.events_seen
-        );
-        note_type(&mut typed, &mut out, "events_dropped", "counter");
-        let _ = writeln!(
-            out,
-            "matrix_events_dropped{{server=\"{sid}\"}} {}",
-            snap.events_dropped
         );
         // The recorder's health as point-in-time gauges: how many events
         // the ring has evicted unread (its capacity gauge rides the
@@ -184,8 +177,8 @@ mod tests {
         assert!(text.contains("matrix_slo_burn_bp_r0{server=\"1\"} 5000"));
         assert!(text.contains("# TYPE matrix_recorder_dropped gauge"));
         assert!(text.contains("matrix_recorder_dropped{server=\"1\"} 7"));
-        // The legacy counter stays for dashboards that already scrape it.
-        assert!(text.contains("matrix_events_dropped{server=\"1\"} 7"));
+        // One name per value: the evictions render only as the gauge.
+        assert!(!text.contains("matrix_events_dropped"));
     }
 
     #[test]

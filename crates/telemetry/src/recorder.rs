@@ -1,6 +1,5 @@
 //! The flight recorder: a fixed-capacity ring of structured events.
 
-use crate::span::STAGE_COUNT;
 use matrix_geometry::ServerId;
 use matrix_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -97,20 +96,6 @@ pub enum EventKind {
         /// Burn rate in basis points (10 000 = 1.0).
         burn_bp: u64,
     },
-    /// A flush exceeded the node's `slow_flush_threshold_us`: one event
-    /// per shard, carrying that flush's per-stage span breakdown (µs;
-    /// stages 1–3 are pipeline-wide, 4–5 are this shard's own).
-    SlowFlush {
-        /// The flushing server.
-        server: ServerId,
-        /// Shard index within the flush (0 when unsharded).
-        shard: u32,
-        /// Whole-flush duration (µs) that tripped the threshold.
-        total_us: u64,
-        /// Per-stage time of this flush, [`STAGE_COUNT`] slots in
-        /// pipeline order (query, tier, predict, policy, delta).
-        stages: [u64; STAGE_COUNT],
-    },
 }
 
 impl std::fmt::Display for EventKind {
@@ -140,19 +125,6 @@ impl std::fmt::Display for EventKind {
             EventKind::Divergence => write!(f, "divergence"),
             EventKind::SloBreach { ring, burn_bp } => {
                 write!(f, "slo-breach r{ring} burn {burn_bp}bp")
-            }
-            EventKind::SlowFlush {
-                server,
-                shard,
-                total_us,
-                stages,
-            } => {
-                write!(
-                    f,
-                    "slow-flush {server} shard {shard} total {total_us}us \
-                     stages {}/{}/{}/{}/{}us",
-                    stages[0], stages[1], stages[2], stages[3], stages[4]
-                )
             }
         }
     }

@@ -61,10 +61,6 @@ pub struct StageSpans {
     enabled: bool,
     t_last: Option<Instant>,
     acc_us: [f64; STAGE_COUNT],
-    /// The most recent *completed* flush's per-stage times, retained so
-    /// a slow-flush capture can dump the breakdown of the flush that
-    /// tripped the threshold (the histograms only keep aggregates).
-    last_us: [f64; STAGE_COUNT],
     hists: Box<[Histogram; STAGE_COUNT]>,
 }
 
@@ -75,7 +71,6 @@ impl StageSpans {
             enabled,
             t_last: None,
             acc_us: [0.0; STAGE_COUNT],
-            last_us: [0.0; STAGE_COUNT],
             hists: Box::new([
                 Histogram::new(),
                 Histogram::new(),
@@ -120,7 +115,6 @@ impl StageSpans {
         }
         for stage in Stage::ALL {
             self.hists[stage as usize].record(self.acc_us[stage as usize]);
-            self.last_us[stage as usize] = self.acc_us[stage as usize];
             self.acc_us[stage as usize] = 0.0;
         }
         self.t_last = None;
@@ -129,13 +123,6 @@ impl StageSpans {
     /// The per-flush latency histogram of one stage (µs).
     pub fn histogram(&self, stage: Stage) -> &Histogram {
         &self.hists[stage as usize]
-    }
-
-    /// Per-stage times (µs) of the most recent completed flush — the
-    /// slow-flush capture's raw material. All zeros before the first
-    /// `end_flush` (or with spans disabled).
-    pub fn last_flush_us(&self) -> [f64; STAGE_COUNT] {
-        self.last_us
     }
 }
 
@@ -169,21 +156,6 @@ mod tests {
         for stage in Stage::ALL {
             assert_eq!(s.histogram(stage).count(), 2, "{}", stage.name());
         }
-    }
-
-    #[test]
-    fn last_flush_is_retained_after_the_reset() {
-        let mut s = StageSpans::new(true);
-        assert_eq!(s.last_flush_us(), [0.0; STAGE_COUNT]);
-        s.begin();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        s.lap(Stage::Policy);
-        s.end_flush();
-        let last = s.last_flush_us();
-        assert!(last[Stage::Policy as usize] > 0.0, "policy lap retained");
-        assert_eq!(last[Stage::Query as usize], 0.0);
-        // The accumulator reset must not clear the retained copy.
-        assert_eq!(s.last_flush_us(), last);
     }
 
     #[test]

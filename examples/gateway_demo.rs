@@ -59,13 +59,11 @@ async fn main() {
             .with_predict(&[0.0, 5.0]);
         println!("dead reckoning ON: rings 30/150, outer error budget 5.0");
     }
-    let opts = wire::GatewayOptions::from_config(&cfg.game);
     let cluster = RtCluster::start(cfg).await;
-    let addr = wire::spawn_gateway_with(
+    let addr = wire::spawn_gateway(
         ("127.0.0.1", port),
         cluster.router().clone(),
         cluster.bootstrap_id(),
-        opts,
     )
     .await
     .expect("bind gateway");

@@ -184,7 +184,7 @@ fn crc_frames_reject_single_bit_corruption() {
 
 /// Without the CRC trailer the decoder still must not panic on any
 /// single-bit flip (structural guards catch what they can; silent
-/// misdecodes are the documented price of `frame_crc = false`).
+/// misdecodes are the documented price of encoding with `crc = false`).
 #[test]
 fn flipped_uncrc_frames_never_panic() {
     let mut rng = SimRng::seed_from_u64(0xF022_0005);

@@ -24,8 +24,8 @@
 //! change.
 //!
 //! **Shard-count invariance**: a node flushing through any
-//! `flush_workers` in 1..=8 — shards walked sequentially or on real
-//! threads — must emit byte-identical wire frames in the same order;
+//! `flush_workers` in 1..=8 — one thread per shard above one — must
+//! emit byte-identical wire frames in the same order;
 //! the sharded flush engine is a throughput knob, never a behaviour
 //! knob.
 //!
@@ -945,15 +945,14 @@ fn pipeline_is_byte_identical_to_the_hand_wired_flush_path() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-count invariance (the parallel-flush pin)
+// Shard-count invariance (the threaded-flush pin)
 // ---------------------------------------------------------------------------
 
 /// The sharded flush engine must be invisible on the wire: for every
 /// random script of joins, moves, actions, leaves and ticks — with
 /// tiered rings, prediction, payload degradation and budgets all in
-/// play — a node flushing through any `flush_workers` in 2..=8 (odd
-/// counts on the sequential shard walk, even counts on real threads)
-/// emits **byte-identical** frames, in the same order, to the
+/// play — a node flushing through any `flush_workers` in 2..=8 (each
+/// on real threads, one per shard) emits **byte-identical** frames, in the same order, to the
 /// single-worker node. Sharding is a throughput knob, never a
 /// behaviour knob.
 #[test]
@@ -975,15 +974,11 @@ fn flush_worker_count_is_wire_invariant() {
     /// client, in emission order.
     fn replay(
         cfg: GameServerConfig,
-        parallel: bool,
         world: Rect,
         radius: f64,
         script: &[Step],
     ) -> Vec<(ClientId, Vec<u8>)> {
         let mut node = GameServerNode::new(ServerId(1), cfg).with_fanout();
-        if parallel {
-            node = node.with_parallel_flush();
-        }
         node.register(world, radius);
         let mut frames = Vec::new();
         let mut collect = |actions: Vec<GameAction>| {
@@ -1084,7 +1079,7 @@ fn flush_worker_count_is_wire_invariant() {
         }
         script.push(Step::Tick(t + 100));
 
-        let reference = replay(cfg, false, world, radius, &script);
+        let reference = replay(cfg, world, radius, &script);
         assert!(
             !reference.is_empty(),
             "case {case}: the script must actually emit frames"
@@ -1095,7 +1090,6 @@ fn flush_worker_count_is_wire_invariant() {
                     flush_workers: workers,
                     ..cfg
                 },
-                workers % 2 == 0, // even counts exercise the real threads
                 world,
                 radius,
                 &script,
@@ -1145,6 +1139,8 @@ fn ring_membership_and_sampling_are_exact() {
                 metric,
                 origin_quantum: 0.0,
                 telemetry: false,
+                shards: 1,
+                trace_charging: false,
             },
         );
 
